@@ -167,7 +167,7 @@ fn open_loop(
     // never sheds (shedding would censor the latency distribution).
     let server = SiriusServer::start(
         Arc::clone(sirius),
-        ServerConfig::default().with_queue_depth(arrivals.max(16)),
+        ServerConfig::with_workers(1).with_queue_depth(arrivals.max(16)),
     );
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut tickets = Vec::with_capacity(arrivals);
@@ -734,11 +734,13 @@ fn cluster_run(
     arrivals: usize,
     seed: u64,
 ) -> ClusterOutcome {
+    // One worker per stage per replica, so speedup-vs-N measures added
+    // replicas rather than the per-core ASR pool of the default config.
     let cluster = SiriusCluster::start(
         sirius,
         ClusterConfig::new(replicas)
             .with_route(route)
-            .with_server(ServerConfig::default().with_queue_depth(arrivals.max(16))),
+            .with_server(ServerConfig::with_workers(1).with_queue_depth(arrivals.max(16))),
     )
     .expect("cluster start");
     // Warm every stage meter on every replica before timing starts. An
@@ -1144,7 +1146,7 @@ fn affinity_run(
     let cluster = SiriusCluster::start(
         sirius,
         ClusterConfig::new(replicas).with_route(route).with_server(
-            ServerConfig::default()
+            ServerConfig::with_workers(1)
                 .with_queue_depth(arrivals.max(16))
                 .with_cache_policy(CachePolicy::enabled()),
         ),

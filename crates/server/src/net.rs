@@ -31,7 +31,10 @@
 //! version, an oversize length claim, an undecodable body — are answered
 //! with a typed protocol-error frame and the connection closed; a peer
 //! that goes silent mid-frame is cut off by the read timeout. Nothing a
-//! client sends can panic the server or wedge a thread forever.
+//! client sends can panic the server or wedge a thread forever. Each
+//! accept joins the handlers that have finished, so a long-lived server
+//! holds threads and stacks only for live connections; a failed accept
+//! (e.g. out of descriptors) backs off briefly instead of spinning.
 //!
 //! **Shutdown.** [`NetServer::shutdown`] (and `Drop`) stops accepting,
 //! half-closes every connection's read side — in-flight answers still
@@ -151,8 +154,8 @@ struct Shared {
     /// Read-side handles of live connections, so shutdown can unblock
     /// readers without cutting off in-flight answer writes.
     streams: Mutex<HashMap<u64, TcpStream>>,
-    /// Handler threads; joined (instantly, once their connections close)
-    /// at shutdown.
+    /// Handler threads of connections that were live at the last accept.
+    /// Finished ones are joined on every accept, the rest at shutdown.
     handlers: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -214,6 +217,13 @@ impl NetServer {
         &self.shared.metrics
     }
 
+    /// Handler threads still tracked for joining. Finished handlers are
+    /// reaped on every accept, so this stays near the number of live
+    /// connections instead of growing with every connection ever served.
+    pub fn tracked_handlers(&self) -> usize {
+        self.shared.handlers.lock().expect("handlers lock").len()
+    }
+
     /// Stops accepting, drains every connection (in-flight answers still
     /// flush), joins every handler thread, then shuts the cluster down,
     /// draining every admitted query.
@@ -260,12 +270,20 @@ impl std::fmt::Debug for NetServer {
     }
 }
 
+/// Pause before retrying a failed `accept`.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     loop {
         let stream = match listener.accept() {
             Ok((stream, _peer)) => stream,
             Err(_) if shared.shutdown.load(Ordering::SeqCst) => return,
-            Err(_) => continue,
+            Err(_) => {
+                // E.g. EMFILE: retrying at once would spin a core until a
+                // descriptor frees up.
+                std::thread::sleep(ACCEPT_BACKOFF);
+                continue;
+            }
         };
         if shared.shutdown.load(Ordering::SeqCst) {
             // The shutdown wake-up connection (or a raced client).
@@ -293,7 +311,14 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 shared.metrics.connections_closed.inc();
             }
         });
-        shared.handlers.lock().expect("handlers lock").push(handler);
+        let mut handlers = shared.handlers.lock().expect("handlers lock");
+        let finished: Vec<_> = handlers.extract_if(.., |h| h.is_finished()).collect();
+        handlers.push(handler);
+        drop(handlers);
+        // Joining a finished thread returns at once and frees its stack.
+        for handler in finished {
+            let _ = handler.join();
+        }
     }
 }
 

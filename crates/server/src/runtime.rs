@@ -90,6 +90,7 @@ impl Default for StageConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerConfig {
     /// ASR pool/queue sizing. Its queue is the admission-control queue.
+    /// The default runs one worker per available core.
     pub asr: StageConfig,
     /// Query-classifier pool/queue sizing (the stage is microseconds, one
     /// worker is plenty).
@@ -116,10 +117,23 @@ pub struct ServerConfig {
     pub cache: CachePolicy,
 }
 
+/// Worker threads the default ASR pool runs: one per available core (at
+/// least 1). ASR is most of every query (paper Fig. 9), so it gets every
+/// core while the lighter downstream stages keep one worker each.
+fn default_asr_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 impl Default for ServerConfig {
+    /// ASR runs one worker per available core; classify, IMM and QA run one
+    /// worker each. [`ServerConfig::with_workers`]`(1)` gives the tandem of
+    /// single servers instead.
     fn default() -> Self {
         Self {
-            asr: StageConfig::default(),
+            asr: StageConfig {
+                workers: default_asr_workers(),
+                ..StageConfig::default()
+            },
             classify: StageConfig::default(),
             imm: StageConfig::default(),
             qa: StageConfig::default(),
@@ -134,7 +148,8 @@ impl Default for ServerConfig {
 
 impl ServerConfig {
     /// `workers` threads on each heavy stage (ASR, IMM, QA); the classifier
-    /// keeps a single worker.
+    /// keeps a single worker. `with_workers(1)` is the tandem of single
+    /// servers the per-stage M/M/1 model assumes.
     pub fn with_workers(workers: usize) -> Self {
         let mut cfg = Self::default();
         cfg.asr.workers = workers;
@@ -1085,6 +1100,21 @@ mod tests {
             submitted: Instant::now(),
         };
         (state, ticket)
+    }
+
+    #[test]
+    fn default_config_sizes_asr_from_the_machine() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let cfg = ServerConfig::default();
+        assert_eq!(cfg.asr.workers, cores);
+        assert_eq!(cfg.classify.workers, 1);
+        assert_eq!(cfg.imm.workers, 1);
+        assert_eq!(cfg.qa.workers, 1);
+        assert_eq!(cfg.total_workers(), cores + 3);
+        // Explicit sizing still overrides the per-core default.
+        let single = ServerConfig::with_workers(1);
+        assert_eq!(single.asr.workers, 1);
+        assert_eq!(single.total_workers(), 4);
     }
 
     #[test]

@@ -119,11 +119,11 @@ fn infinite_slo_degrades_to_shed_on_full() {
     let sirius = shared_sirius();
     let prepared = prepare_input_set(&sirius, 31415);
 
-    // Same depth-1 topology as the shed-on-full burst gate in
+    // Same one-worker, depth-1 topology as the shed-on-full burst gate in
     // `concurrency.rs`; the only change is the submit entry point.
     let server = SiriusServer::start(
         Arc::clone(&sirius),
-        ServerConfig::default().with_queue_depth(1),
+        ServerConfig::with_workers(1).with_queue_depth(1),
     );
     let mut accepted = Vec::new();
     let mut shed = 0u64;

@@ -53,6 +53,40 @@ fn staged_outputs_identical_for_full_input_set() {
 }
 
 #[test]
+fn concurrent_asr_workers_match_serial_pipeline() {
+    let sirius = shared_sirius();
+    let prepared = prepare_input_set(&sirius, 4242);
+    let serial: Vec<_> = prepared
+        .iter()
+        .map(|p| sirius.process(&p.input()))
+        .collect();
+
+    // The default per-core ASR pool, but never fewer than two workers, so
+    // even a 1-core machine decodes concurrently. The whole set is
+    // submitted as one burst, deep enough that nothing is shed.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut config = ServerConfig::default().with_queue_depth(64);
+    config.asr.workers = cores.max(2);
+    let server = SiriusServer::start(Arc::clone(&sirius), config);
+    let tickets: Vec<_> = prepared
+        .iter()
+        .map(|p| server.submit(p.input()).expect("queue deep enough"))
+        .collect();
+    for ((p, ticket), expect) in prepared.iter().zip(tickets).zip(&serial) {
+        let staged = ticket
+            .wait()
+            .unwrap_or_else(|e| panic!("{} failed: {e}", p.spec.text));
+        assert_eq!(payload(&staged), payload(expect), "{}", p.spec.text);
+    }
+    let snap = server.metrics_snapshot();
+    assert_eq!(
+        snap.histogram("asr.service_ns").unwrap().count,
+        prepared.len() as u64
+    );
+    server.shutdown();
+}
+
+#[test]
 fn concurrent_clients_match_serial_pipeline() {
     let sirius = shared_sirius();
     let prepared = prepare_input_set(&sirius, 777);
@@ -103,7 +137,7 @@ fn admission_control_sheds_rather_than_deadlocks() {
     // One worker everywhere and depth-1 queues: a burst must overflow.
     let server = SiriusServer::start(
         Arc::clone(&sirius),
-        ServerConfig::default().with_queue_depth(1),
+        ServerConfig::with_workers(1).with_queue_depth(1),
     );
     let mut accepted = Vec::new();
     let mut shed = 0usize;

@@ -14,11 +14,14 @@
 //! 5. `GET /metrics` on the same socket serves Prometheus text carrying
 //!    both replica and `net.` series; other paths 404.
 //! 6. Shutdown drains cleanly while a connection is parked mid-stream.
+//! 7. Hundreds of sequential short connections leave neither handler
+//!    threads nor their stacks behind.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
+use std::process::Command;
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sirius::error::{ClusterError, SiriusError};
 use sirius::pipeline::{Sirius, SiriusConfig, SiriusResponse};
@@ -191,6 +194,10 @@ fn concurrent_remote_clients_stay_bit_identical_and_balance_the_ledger() {
         assert_eq!(tenant_total(&net, class, "failed"), 0);
     }
 
+    // A handler counts an answer frame only after writing it, so a client
+    // can read its last answer first; the counters are final once every
+    // handler has seen its client close.
+    wait_for_closed(&net, THREADS as u64);
     let snap = net.cluster().metrics_snapshot();
     let remote_queries = 2 * prepared.len() as u64; // 6 threads × 14 queries
     assert_eq!(snap.counter("net.frames_in"), Some(remote_queries));
@@ -438,4 +445,112 @@ fn shutdown_drains_cleanly_with_a_parked_connection() {
     if let Ok(r) = client.submit(&prepared[0].input(), "premium", None) {
         panic!("server answered after shutdown: {:?}", r.outcome);
     }
+}
+
+/// A numeric field of `/proc/self/status` (`VmSize` is in kB).
+fn proc_status(field: &str) -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix(field)?.strip_prefix(':'))
+        .and_then(|rest| rest.split_whitespace().next()?.parse().ok())
+        .unwrap_or_else(|| panic!("{field} missing from /proc/self/status"))
+}
+
+/// Blocks until `n` connections have closed on the server side.
+fn wait_for_closed(net: &NetServer, n: u64) {
+    let begun = Instant::now();
+    while net.metrics().connections_closed.get() < n {
+        assert!(
+            begun.elapsed() < Duration::from_secs(30),
+            "handlers never finished"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+const REAP_CONNECTIONS: u64 = 300;
+
+/// The measurement behind
+/// `sequential_connections_do_not_leak_handler_threads`. Thread count and
+/// VmSize are process-wide, so it runs alone in a child process where no
+/// other test's threads or allocations blur them.
+#[test]
+#[ignore = "run alone in a child process by sequential_connections_do_not_leak_handler_threads"]
+fn handler_reap_probe() {
+    let net = start_net(1);
+    let addr = net.local_addr();
+    let input = prepare_input_set(&shared_sirius(), 21)[0].input();
+    // Three kinds of short connection: closed unused, an HTTP 404 and one
+    // served query.
+    let connect = |i: u64| match i % 3 {
+        0 => drop(TcpStream::connect(addr).expect("connects")),
+        1 => assert_eq!(sirius_server::http_get(addr, "/missing").unwrap().0, 404),
+        _ => {
+            NetClient::connect(addr)
+                .expect("connects")
+                .submit(&input, "premium", None)
+                .expect("query served");
+        }
+    };
+    // Warm up with concurrent clients of every kind, so the allocator's
+    // per-thread arenas and the thread-stack cache that overlapping
+    // handlers need already exist when the baseline is read.
+    const WARM: u64 = 8;
+    std::thread::scope(|scope| {
+        for i in 0..WARM {
+            scope.spawn(move || connect(i));
+        }
+    });
+    wait_for_closed(&net, WARM);
+    let threads_before = proc_status("Threads");
+    let vm_before_kb = proc_status("VmSize");
+
+    for i in 0..REAP_CONNECTIONS {
+        connect(i);
+    }
+    wait_for_closed(&net, WARM + REAP_CONNECTIONS);
+    // Finished handlers are reaped on accept: one more connection reaps
+    // everything the loop left behind.
+    connect(0);
+    wait_for_closed(&net, WARM + REAP_CONNECTIONS + 1);
+
+    let tracked = net.tracked_handlers();
+    let threads_after = proc_status("Threads");
+    let vm_after_kb = proc_status("VmSize");
+    let kb_per_conn = vm_after_kb.saturating_sub(vm_before_kb) as f64 / REAP_CONNECTIONS as f64;
+    println!(
+        "tracked {tracked}, threads {threads_before} -> {threads_after}, \
+         VmSize {vm_before_kb} -> {vm_after_kb} kB ({kb_per_conn:.1} kB/conn)"
+    );
+    assert!(tracked <= 2, "{tracked} handlers still tracked");
+    assert!(
+        threads_after <= threads_before + 2,
+        "threads grew {threads_before} -> {threads_after}"
+    );
+    // A leaked handler keeps its whole 2 MiB stack mapped; the bound leaves
+    // room for one more 64 MiB allocator arena.
+    assert!(
+        kb_per_conn < 256.0,
+        "VmSize grew {kb_per_conn:.1} kB per connection"
+    );
+    net.shutdown();
+}
+
+#[test]
+fn sequential_connections_do_not_leak_handler_threads() {
+    if !std::path::Path::new("/proc/self/status").exists() {
+        return; // The probe reads Linux procfs.
+    }
+    let out = Command::new(std::env::current_exe().expect("test binary"))
+        .args(["handler_reap_probe", "--exact", "--ignored"])
+        .args(["--test-threads=1", "--nocapture"])
+        .output()
+        .expect("probe runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("1 passed"),
+        "probe failed:\n{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }

@@ -104,9 +104,11 @@ fn per_stage_histograms_account_for_every_query() {
 fn admission_counters_mirror_shedding() {
     let sirius = shared_sirius();
     let prepared = prepare_input_set(&sirius, 31415);
+    // One ASR worker behind a depth-1 queue, so the burst overflows on
+    // any machine.
     let server = SiriusServer::start(
         Arc::clone(&sirius),
-        ServerConfig::default().with_queue_depth(1),
+        ServerConfig::with_workers(1).with_queue_depth(1),
     );
     let mut tickets = Vec::new();
     let mut shed = 0u64;
