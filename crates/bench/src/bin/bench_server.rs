@@ -63,6 +63,12 @@
 //!    cluster telemetry must account for every query exactly once, and the
 //!    speedups are restated against the paper's Table 8 accelerated
 //!    design via `sirius_dcsim::ClusterComparison`.
+//! 8. **Tenant sweep** — three tenant classes (premium, standard, best
+//!    effort) with weighted admission under heavy-tailed, diurnal Zipf
+//!    arrivals at ρ ∈ {0.8, 1.1, 1.5}. Reported per class: offered,
+//!    admitted, shed, expired and p99; gated on premium keeping its SLO
+//!    while best effort absorbs the shed in deep overload, on a balanced
+//!    per-tenant ledger, and on outputs matching the serial references.
 //!
 //! Usage: `bench_server [--queries N] [--workers W] [--seed S]`
 //! (defaults: 100 arrivals per load point, 4 workers). JSON on stdout;
@@ -82,15 +88,14 @@ use sirius::prepare_input_set;
 use sirius::profile::LatencyStats;
 use sirius_accel::PlatformKind;
 use sirius_dcsim::{
-    homogeneous_throughput_improvement, CacheComparison, CachePoint, ClusterComparison,
-    ClusterPoint, MeasuredPoint, Mm1, QueueComparison, ShedComparison, ShedPoint, StageMeasurement,
-    TandemComparison,
+    homogeneous_throughput_improvement, ClusterComparison, ClusterPoint, MeasuredPoint,
+    QueueComparison, ShedComparison, ShedPoint, StageMeasurement, TandemComparison,
 };
 use sirius_obs::metrics::{bucket_bounds, bucket_index};
 use sirius_obs::{HistogramSnapshot, Snapshot};
 use sirius_server::{
-    BatchPolicy, CachePolicy, ClusterConfig, NetClient, NetConfig, NetServer, RoutePolicy,
-    ServerConfig, SiriusCluster, SiriusServer, StreamPolicy, TenantClass, STAGES,
+    BatchPolicy, ClusterConfig, NetClient, NetConfig, NetServer, RoutePolicy, ServerConfig,
+    SiriusCluster, SiriusServer, StreamPolicy, TenantClass, STAGES,
 };
 use sirius_speech::asr::AcousticModelKind;
 use sirius_speech::features::SAMPLE_RATE;
@@ -807,17 +812,10 @@ fn cluster_run(
     }
 }
 
-/// Offered loads of the cache/tenant sweep, relative to the serial
+/// Offered loads of the tenant sweep, relative to the serial
 /// full-pipeline rate μ: one point below saturation and two past it, where
-/// weighted admission has to choose whom to shed and the result cache's
-/// capacity multiplication actually shows up as throughput.
-const CACHE_RHO: [f64; 3] = [0.8, 1.1, 1.5];
-/// Result-cache capacities swept; 0 disables the cache entirely. The small
-/// capacity forces LRU churn against the Zipf head (an intermediate hit
-/// ratio); the large one holds the whole 42-query corpus (hit ratio near
-/// one once warm). Points at one load share one arrival process, so the
-/// capacity axis is a paired comparison.
-const CACHE_CAPACITIES: [usize; 3] = [0, 8, 1024];
+/// weighted admission has to choose whom to shed.
+const TENANT_RHO: [f64; 3] = [0.8, 1.1, 1.5];
 /// Zipf exponent of each tenant's query popularity: heavy-tailed, most
 /// arrivals concentrated on each class's few head queries.
 const ZIPF_EXPONENT: f64 = 1.1;
@@ -840,8 +838,8 @@ const TENANT_SPEC: [(&str, u8, f64, u32, f64); 3] = [
 /// Heavy-tailed, diurnal, multi-tenant arrival generator. Every arrival
 /// draws a tenant class by traffic share, then a query by a per-class Zipf
 /// over the corpus — each class gets its own corpus permutation, so the
-/// classes' popularity heads land on *different* queries and the shared
-/// result cache has to hold all three working sets. Interarrival gaps are
+/// classes' popularity heads land on *different* queries and each class
+/// offers its own mix of service times. Interarrival gaps are
 /// exponential at the instantaneous diurnal rate `λ0·(1 + A·sin(2πt/T))`,
 /// with `t` the scheduled (not wall-clock) arrival time so the process is
 /// reproducible from its seed alone.
@@ -923,7 +921,7 @@ impl TenantGen {
     }
 }
 
-/// One tenant class's showing at one cache-sweep point.
+/// One tenant class's showing at one tenant-sweep point.
 #[derive(Default)]
 struct ClassOutcome {
     admitted: u64,
@@ -950,17 +948,11 @@ impl ClassOutcome {
     }
 }
 
-/// One cache-sweep operating point.
-struct CacheOutcome {
+/// One tenant-sweep operating point.
+struct TenantOutcome {
     qps: f64,
-    hit_ratio: f64,
-    hits: u64,
-    lookups: u64,
     mean_sojourn_ms: f64,
     p99_ms: f64,
-    /// Mean ASR service time over the run, ms — the dominant cost of a
-    /// cache hit (hits skip every later stage).
-    hit_cost_ms: f64,
     /// Per class, indexed as `TENANT_SPEC`.
     classes: Vec<ClassOutcome>,
     outputs_match: bool,
@@ -968,22 +960,17 @@ struct CacheOutcome {
 }
 
 /// Drives one fresh single-worker runtime open-loop under the multi-tenant
-/// generator at base rate `lambda`, with the result cache at `capacity`
-/// entries (0 = disabled). Meters and cache are warmed with one corpus
-/// pass, then the caches are invalidated so the measured hit ratio comes
-/// from measured traffic only (and the O(1) generation-bump invalidation
-/// is exercised on a live server).
-#[allow(clippy::too_many_arguments)]
-fn cache_run(
+/// generator at base rate `lambda`. The service-time meters are warmed
+/// with one corpus pass first, so admission starts from a live estimate.
+fn tenant_run(
     sirius: &Arc<Sirius>,
     inputs: &[SiriusInput],
     reference: &[(String, String, Option<String>)],
     mean_service: f64,
     lambda: f64,
     arrivals: usize,
-    capacity: usize,
     seed: u64,
-) -> CacheOutcome {
+) -> TenantOutcome {
     let tenants: Vec<TenantClass> = TENANT_SPEC
         .iter()
         .map(|&(name, priority, slo_mult, weight, _)| {
@@ -996,19 +983,14 @@ fn cache_run(
         })
         .collect();
     let slos: Vec<Duration> = tenants.iter().map(|t| t.slo).collect();
-    let mut config = ServerConfig::with_workers(1)
+    let config = ServerConfig::with_workers(1)
         .with_queue_depth(POLICY_QUEUE_DEPTH)
         .with_tenant_classes(tenants);
-    if capacity > 0 {
-        config = config.with_cache_policy(CachePolicy::enabled().with_capacity(capacity));
-    }
     let server = SiriusServer::start(Arc::clone(sirius), config);
     for input in inputs {
         server.process_sync(input.clone()).expect("warmup query");
     }
-    server.invalidate_result_caches();
     let warm = inputs.len() as u64;
-    let (base_hits, base_lookups) = server.caches().map_or((0, 0), |c| c.totals());
 
     let mut gen = TenantGen::new(seed, inputs.len(), lambda);
     let mut tickets = Vec::with_capacity(arrivals);
@@ -1075,14 +1057,14 @@ fn cache_run(
         for (leaf, got, want) in expected {
             if got != Some(want) {
                 eprintln!(
-                    "cache accounting: tenant.{name}.{leaf} = {got:?}, harness counted {want}"
+                    "tenant accounting: tenant.{name}.{leaf} = {got:?}, harness counted {want}"
                 );
                 accounting_balanced = false;
             }
         }
         let in_flight = snap.gauge(&format!("tenant.{name}.in_flight"));
         if in_flight != Some(0) {
-            eprintln!("cache accounting: tenant.{name}.in_flight = {in_flight:?}, expected 0");
+            eprintln!("tenant accounting: tenant.{name}.in_flight = {in_flight:?}, expected 0");
             accounting_balanced = false;
         }
     }
@@ -1090,100 +1072,21 @@ fn cache_run(
     let global = snap.counter("completed");
     if global != Some(completed_total + warm) {
         eprintln!(
-            "cache accounting: completed = {global:?}, harness counted {completed_total} + {warm} warm"
+            "tenant accounting: completed = {global:?}, harness counted {completed_total} + {warm} warm"
         );
         accounting_balanced = false;
     }
-    let (hits, lookups) = server.caches().map_or((0, 0), |c| c.totals());
-    let (hits, lookups) = (hits - base_hits, lookups - base_lookups);
     let all: Vec<Duration> = sojourns.into_iter().flatten().collect();
     let stats = LatencyStats::from_samples(&all);
-    let hit_cost_ms = snap
-        .histogram("asr.service_ns")
-        .map_or(0.0, |h| h.mean() / 1e6);
     server.shutdown();
-    CacheOutcome {
+    TenantOutcome {
         qps: completed_total as f64 / wall,
-        hit_ratio: if lookups == 0 {
-            0.0
-        } else {
-            hits as f64 / lookups as f64
-        },
-        hits,
-        lookups,
         mean_sojourn_ms: ms(stats.mean),
         p99_ms: ms(stats.p99),
-        hit_cost_ms,
         classes,
         outputs_match,
         accounting_balanced,
     }
-}
-
-/// Replica counts of the cache-affinity head-to-head.
-const AFFINITY_REPLICAS: [u32; 2] = [2, 4];
-/// Noise allowance on the affinity gate: consistent-hash must aggregate at
-/// least this much more hit ratio than round-robin (in-flight duplicates
-/// miss under both policies, but which duplicates overlap is timing).
-const AFFINITY_MARGIN: f64 = 0.02;
-
-/// Drives an N-replica cluster cold-start under a Zipf arrival order and
-/// measures the aggregate result-cache hit ratio: consistent-hash routing
-/// pins each query to one replica (one cold miss per distinct query);
-/// round-robin smears each query across all N (up to N cold misses each).
-#[allow(clippy::too_many_arguments)]
-fn affinity_run(
-    sirius: &Arc<Sirius>,
-    inputs: &[SiriusInput],
-    order: &[usize],
-    reference: &[(String, String, Option<String>)],
-    replicas: u32,
-    route: RoutePolicy,
-    lambda: f64,
-    arrivals: usize,
-    seed: u64,
-) -> (f64, bool) {
-    let cluster = SiriusCluster::start(
-        sirius,
-        ClusterConfig::new(replicas).with_route(route).with_server(
-            ServerConfig::with_workers(1)
-                .with_queue_depth(arrivals.max(16))
-                .with_cache_policy(CachePolicy::enabled()),
-        ),
-    )
-    .expect("cluster start");
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut tickets = Vec::with_capacity(arrivals);
-    let begun = Instant::now();
-    let mut next = begun;
-    for i in 0..arrivals {
-        let gap = -(1.0 - rng.gen_range(0.0f64..1.0)).ln() / lambda;
-        next += Duration::from_secs_f64(gap);
-        wait_until(next);
-        let at = order[i % order.len()];
-        let ticket = cluster
-            .submit(inputs[at].clone())
-            .expect("queues are deep enough never to shed");
-        tickets.push((at, ticket));
-    }
-    let mut outputs_match = true;
-    for (at, ticket) in tickets {
-        let response = ticket.wait().expect("admitted queries complete");
-        if payload(&response) != reference[at] {
-            outputs_match = false;
-        }
-    }
-    let snapshot = cluster.metrics_snapshot();
-    let (hits, lookups) = cluster.cache_totals(&snapshot);
-    cluster.shutdown();
-    (
-        if lookups == 0 {
-            0.0
-        } else {
-            hits as f64 / lookups as f64
-        },
-        outputs_match,
-    )
 }
 
 /// Closed-loop client counts for the loopback network sweep.
@@ -1723,126 +1626,42 @@ fn main() {
     let cluster_outputs_match = cluster_outputs_match && routing_outputs_match;
     let cluster_accounting = cluster_accounting && routing_accounting;
 
-    // Cache/tenant sweep: the multi-tenant heavy-tailed generator drives a
-    // single-worker runtime at ρ × μ with the result cache off, small and
-    // corpus-sized. Capacities at one load share one arrival seed, so the
-    // capacity axis is paired.
-    let cache_arrivals = arrivals.max(150);
-    let mut cache_rows: Vec<(f64, usize, CacheOutcome)> = Vec::new();
-    for (ri, &rho) in CACHE_RHO.iter().enumerate() {
+    // Tenant sweep: the multi-tenant heavy-tailed generator drives a
+    // single-worker runtime at ρ × μ under weighted admission.
+    let tenant_arrivals = arrivals.max(150);
+    let mut tenant_rows: Vec<(f64, TenantOutcome)> = Vec::new();
+    for (ri, &rho) in TENANT_RHO.iter().enumerate() {
         let lambda = rho * mu;
-        let pair_seed = seed.wrapping_add(0xCAC4E + ri as u64);
-        for &capacity in CACHE_CAPACITIES.iter() {
-            eprintln!(
-                "cache sweep: rho={rho:.1} lambda={lambda:.1}/s capacity={capacity} ({cache_arrivals} arrivals)..."
-            );
-            let outcome = cache_run(
-                &sirius,
-                &inputs,
-                &reference,
-                mean_service,
-                lambda,
-                cache_arrivals,
-                capacity,
-                pair_seed,
-            );
-            cache_rows.push((rho, capacity, outcome));
-        }
+        eprintln!(
+            "tenant sweep: rho={rho:.1} lambda={lambda:.1}/s ({tenant_arrivals} arrivals)..."
+        );
+        let outcome = tenant_run(
+            &sirius,
+            &inputs,
+            &reference,
+            mean_service,
+            lambda,
+            tenant_arrivals,
+            seed.wrapping_add(0xCAC4E + ri as u64),
+        );
+        tenant_rows.push((rho, outcome));
     }
-    let cache_outputs_match = cache_rows.iter().all(|(.., o)| o.outputs_match);
-    let cache_accounting = cache_rows.iter().all(|(.., o)| o.accounting_balanced);
-    // Gate 1: at and past saturation, completion throughput rises with the
-    // measured hit ratio — the cache's capacity multiplication is real.
-    // (Below saturation every setting just serves its arrival rate, so
-    // ρ = 0.8 is reported but not gated.)
-    let throughput_monotone = CACHE_RHO.iter().filter(|&&rho| rho >= 1.1).all(|&rho| {
-        let mut at_rho: Vec<&(f64, usize, CacheOutcome)> =
-            cache_rows.iter().filter(|(r, ..)| *r == rho).collect();
-        at_rho.sort_by(|a, b| {
-            a.2.hit_ratio
-                .partial_cmp(&b.2.hit_ratio)
-                .expect("finite hit ratios")
-        });
-        at_rho.windows(2).all(|w| w[1].2.qps >= w[0].2.qps * 0.95)
-            && at_rho.last().expect("swept").2.qps > at_rho.first().expect("swept").2.qps * 1.05
-    });
-    // Gate 2: in deep overload with no cache to hide behind, weighted
-    // admission protects premium — its p99 holds near its SLO (one
-    // last-stage service time of overshoot allowed past the dequeue-time
-    // expiry backstop) while best-effort absorbs strictly more shed.
-    let overload = cache_rows
+    let tenant_outputs_match = tenant_rows.iter().all(|(_, o)| o.outputs_match);
+    let tenant_accounting = tenant_rows.iter().all(|(_, o)| o.accounting_balanced);
+    // In deep overload, weighted admission protects premium — its p99
+    // holds near its SLO (one last-stage service time of overshoot allowed
+    // past the dequeue-time expiry backstop) while best-effort absorbs
+    // strictly more shed.
+    let overload = &tenant_rows
         .iter()
-        .find(|(rho, capacity, _)| *rho == 1.5 && *capacity == 0)
-        .expect("swept overload point");
+        .find(|(rho, _)| *rho == 1.5)
+        .expect("swept overload point")
+        .1;
     let premium_slo_ms = TENANT_SPEC[0].2 * mean_service * 1e3;
-    let premium = &overload.2.classes[0];
-    let best_effort = &overload.2.classes[2];
+    let premium = &overload.classes[0];
+    let best_effort = &overload.classes[2];
     let premium_protected = premium.p99_ms <= premium_slo_ms * 1.15
         && best_effort.unserved_fraction() > premium.unserved_fraction() + 0.05;
-    // Line the below-saturation points up against the hit-deflected M/M/1:
-    // backend μ from the serial baseline, hit cost from the measured ASR
-    // mean of the corpus-sized-cache run.
-    let cache_hit_cost_s = cache_rows
-        .iter()
-        .find(|(rho, capacity, _)| *rho == 0.8 && *capacity == *CACHE_CAPACITIES.last().unwrap())
-        .expect("swept point")
-        .2
-        .hit_cost_ms
-        / 1e3;
-    let cache_points: Vec<CachePoint> = cache_rows
-        .iter()
-        .filter(|(rho, ..)| *rho == 0.8)
-        .map(|(rho, _, o)| CachePoint {
-            lambda: rho * mu,
-            hit_ratio: o.hit_ratio,
-            mean_latency: o.mean_sojourn_ms / 1e3,
-        })
-        .collect();
-    let cache_cmp = CacheComparison::against(
-        Mm1::from_service_time(mean_service),
-        cache_hit_cost_s,
-        &cache_points,
-    );
-
-    // Cache affinity: cold N-replica clusters under one shared Zipf
-    // arrival order, consistent-hash vs round-robin, aggregate hit ratio.
-    let affinity_order: Vec<usize> = {
-        let mut gen = TenantGen::new(seed.wrapping_add(0xAFF1), inputs.len(), 1.0);
-        (0..cache_arrivals).map(|_| gen.next().2).collect()
-    };
-    let affinity_lambda = 0.8 * staged_1w_qps;
-    let mut affinity_rows: Vec<(u32, RoutePolicy, f64, bool)> = Vec::new();
-    for (ni, &n) in AFFINITY_REPLICAS.iter().enumerate() {
-        for route in [RoutePolicy::ConsistentHash, RoutePolicy::RoundRobin] {
-            eprintln!(
-                "cache affinity: replicas={n} route={route} lambda={affinity_lambda:.1}/s ({cache_arrivals} arrivals)..."
-            );
-            let (hit_ratio, matches) = affinity_run(
-                &sirius,
-                &inputs,
-                &affinity_order,
-                &reference,
-                n,
-                route,
-                affinity_lambda,
-                cache_arrivals,
-                seed.wrapping_add(0xAFF10 + ni as u64),
-            );
-            affinity_rows.push((n, route, hit_ratio, matches));
-        }
-    }
-    let affinity_outputs_match = affinity_rows.iter().all(|(.., m)| *m);
-    let affinity_at = |n: u32, want: RoutePolicy| -> f64 {
-        affinity_rows
-            .iter()
-            .find(|(rn, route, ..)| *rn == n && *route == want)
-            .expect("swept affinity point")
-            .2
-    };
-    let hash_beats_rr = AFFINITY_REPLICAS.iter().all(|&n| {
-        affinity_at(n, RoutePolicy::ConsistentHash)
-            >= affinity_at(n, RoutePolicy::RoundRobin) + AFFINITY_MARGIN
-    });
 
     // Loopback network sweep: closed-loop TCP clients against the framed
     // front-end, every query crossing the real wire.
@@ -2067,7 +1886,7 @@ fn main() {
         "  \"least_sojourn_p99_le_round_robin_at_peak\": {least_sojourn_holds}, \"outputs_match_serial\": {cluster_outputs_match}, \"accounting_balanced\": {cluster_accounting} }},"
     );
     println!(
-        "  \"cache_sweep\": {{ \"arrivals_per_point\": {cache_arrivals}, \"zipf_exponent\": {ZIPF_EXPONENT}, \"diurnal_amplitude\": {DIURNAL_AMPLITUDE}, \"diurnal_period_s\": {DIURNAL_PERIOD_S}, \"note\": \"multi-tenant Zipf arrivals with per-class corpus permutations and diurnal rate modulation; capacities at one rho share one arrival seed; caches are invalidated after warmup so hit ratios come from measured traffic\", \"classes\": [{}], \"points\": [",
+        "  \"tenant_sweep\": {{ \"arrivals_per_point\": {tenant_arrivals}, \"zipf_exponent\": {ZIPF_EXPONENT}, \"diurnal_amplitude\": {DIURNAL_AMPLITUDE}, \"diurnal_period_s\": {DIURNAL_PERIOD_S}, \"note\": \"multi-tenant Zipf arrivals with per-class corpus permutations and diurnal rate modulation under weighted admission\", \"classes\": [{}], \"points\": [",
         TENANT_SPEC
             .iter()
             .map(|(name, priority, slo_mult, weight, share)| format!(
@@ -2077,8 +1896,8 @@ fn main() {
             .collect::<Vec<_>>()
             .join(", ")
     );
-    for (i, (rho, capacity, o)) in cache_rows.iter().enumerate() {
-        let comma = if i + 1 < cache_rows.len() { "," } else { "" };
+    for (i, (rho, o)) in tenant_rows.iter().enumerate() {
+        let comma = if i + 1 < tenant_rows.len() { "," } else { "" };
         let classes: Vec<String> = TENANT_SPEC
             .iter()
             .zip(&o.classes)
@@ -2098,52 +1917,15 @@ fn main() {
             })
             .collect();
         println!(
-            "    {{ \"rho\": {rho:.2}, \"capacity\": {capacity}, \"qps\": {:.2}, \"hit_ratio\": {:.4}, \"hits\": {}, \"lookups\": {}, \"mean_ms\": {:.3}, \"p99_ms\": {:.3}, \"hit_cost_ms\": {:.3}, \"classes\": [{}] }}{comma}",
+            "    {{ \"rho\": {rho:.2}, \"qps\": {:.2}, \"mean_ms\": {:.3}, \"p99_ms\": {:.3}, \"classes\": [{}] }}{comma}",
             o.qps,
-            o.hit_ratio,
-            o.hits,
-            o.lookups,
             o.mean_sojourn_ms,
             o.p99_ms,
-            o.hit_cost_ms,
             classes.join(", ")
         );
     }
-    println!("  ], \"mm1_cache\": {{ \"mu_qps\": {:.2}, \"hit_cost_ms\": {:.3}, \"note\": \"hit-deflected M/M/1 at the below-saturation load: predicted = h*t_hit + (1-h)/(mu - lambda*(1-h))\", \"rows\": [", cache_cmp.mu, cache_cmp.hit_cost * 1e3);
-    for (i, row) in cache_cmp.rows.iter().enumerate() {
-        let comma = if i + 1 < cache_cmp.rows.len() {
-            ","
-        } else {
-            ""
-        };
-        println!(
-            "    {{ \"lambda_qps\": {:.2}, \"hit_ratio\": {:.4}, \"effective_rho\": {:.3}, \"measured_ms\": {:.3}, \"predicted_ms\": {:.3}, \"relative_error\": {} }}{comma}",
-            row.lambda,
-            row.hit_ratio,
-            row.effective_rho,
-            row.measured * 1e3,
-            row.predicted * 1e3,
-            opt(row.relative_error)
-        );
-    }
     println!(
-        "  ], \"worst_relative_error\": {} }},",
-        opt(cache_cmp.worst_relative_error())
-    );
-    println!(
-        "  \"throughput_increases_with_hit_ratio\": {throughput_monotone}, \"premium_protected_under_overload\": {premium_protected}, \"outputs_match_serial\": {cache_outputs_match}, \"accounting_balanced\": {cache_accounting} }},"
-    );
-    println!(
-        "  \"cache_affinity\": {{ \"lambda_qps\": {affinity_lambda:.2}, \"arrivals\": {cache_arrivals}, \"margin\": {AFFINITY_MARGIN}, \"note\": \"cold clusters, shared Zipf arrival order: consistent-hash affinity concentrates each query's entries on one replica; round-robin pays up to N cold misses per query\", \"points\": ["
-    );
-    for (i, (n, route, hit_ratio, _)) in affinity_rows.iter().enumerate() {
-        let comma = if i + 1 < affinity_rows.len() { "," } else { "" };
-        println!(
-            "    {{ \"replicas\": {n}, \"route\": \"{route}\", \"hit_ratio\": {hit_ratio:.4} }}{comma}"
-        );
-    }
-    println!(
-        "  ], \"hash_beats_round_robin\": {hash_beats_rr}, \"outputs_match_serial\": {affinity_outputs_match} }},"
+        "  ], \"premium_protected_under_overload\": {premium_protected}, \"outputs_match_serial\": {tenant_outputs_match}, \"accounting_balanced\": {tenant_accounting} }},"
     );
     println!(
         "  \"net_sweep\": {{ \"replicas\": {NET_REPLICAS}, \"queries_per_point\": {arrivals}, \"note\": \"closed-loop TCP clients over loopback against the framed front-end; every query crosses the wire (submit frame in, answer frame out) and each point scrapes GET /metrics on the same socket\", \"points\": ["

@@ -8,7 +8,6 @@
 
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod compare;
 pub mod design;
 pub mod gap;
@@ -18,7 +17,6 @@ pub mod queue;
 pub mod sim;
 pub mod tco;
 
-pub use cache::{CacheComparison, CachePoint, CacheRow, CachedMm1};
 pub use compare::{
     ClusterComparison, ClusterPoint, ClusterRow, ComparisonRow, MeasuredPoint, QueueComparison,
     ShedComparison, ShedPoint, ShedRow, StageMeasurement, TandemComparison, TandemStageRow,

@@ -362,10 +362,8 @@ impl SiriusCluster {
     /// Routes a query, then applies the chosen replica's **classed**
     /// weighted-fair admission
     /// ([`SiriusServer::submit_classed`](crate::SiriusServer::submit_classed)):
-    /// the router picks the replica — consistent hashing keeps repeated
-    /// inputs on one replica, concentrating result-cache hits there — and
-    /// the replica's live sojourn estimate against the class's weighted
-    /// budget decides admission.
+    /// the router picks the replica and the replica's live sojourn estimate
+    /// against the class's weighted budget decides admission.
     ///
     /// # Errors
     ///
@@ -392,24 +390,6 @@ impl SiriusCluster {
     /// Any [`ClusterError`] from admission or the serving replica.
     pub fn process_sync(&self, input: SiriusInput) -> Result<SiriusResponse, ClusterError> {
         self.submit(input)?.wait()
-    }
-
-    /// Invalidates every replica's result caches (no-op when caching is
-    /// off).
-    pub fn invalidate_result_caches(&self) {
-        for replica in &self.replicas {
-            replica.invalidate_result_caches();
-        }
-    }
-
-    /// Cluster-wide result-cache hits and lookups, summed over both caches
-    /// of every replica (`replica{i}.cache.{qa,imm}.{hit,miss}`).
-    pub fn cache_totals(&self, snapshot: &Snapshot) -> (u64, u64) {
-        let hits = self.merged_counter(snapshot, "cache.qa.hit")
-            + self.merged_counter(snapshot, "cache.imm.hit");
-        let misses = self.merged_counter(snapshot, "cache.qa.miss")
-            + self.merged_counter(snapshot, "cache.imm.miss");
-        (hits, hits + misses)
     }
 
     /// The smallest live expected sojourn across the replicas — what a

@@ -49,9 +49,7 @@ pub use cluster::{ClusterConfig, ClusterTicket, RoutePolicy, SiriusCluster};
 pub use metrics::{BatchObs, ServerMetrics, StageObs, StreamObs, STAGES};
 pub use net::{http_get, NetClient, NetClientError, NetConfig, NetMetrics, NetServer};
 pub use pool::{spawn_stage_pool, Job};
-pub use qos::{
-    CacheKey, CachePolicy, CachedAnswer, ImageSignature, ResultCaches, TenantClass, TenantObs,
-};
+pub use qos::{TenantClass, TenantObs};
 pub use runtime::{ServerConfig, SiriusServer, StageConfig, Ticket};
 pub use stream::StreamPolicy;
 pub use wire::{

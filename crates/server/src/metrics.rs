@@ -34,12 +34,8 @@
 //! | `completed` / `failed` | counter | ticket completions by result |
 //! | `sojourn_ns` | histogram | admission → completion, successful queries |
 //! | `sojourn_failed_ns` | histogram | admission → completion, failed queries |
-//! | `cache.{qa,imm}.hit` / `.miss` | counter | result-cache lookups after ASR commit |
-//! | `cache.{qa,imm}.insert` / `.eviction` / `.stale` | counter | result-cache fills, LRU evictions, TTL/generation rejections |
-//! | `cache.{qa,imm}.entries` | gauge | live result-cache entries |
 //! | `tenant.{class}.accepted` / `.shed_deadline` | counter | classed admission outcomes |
 //! | `tenant.{class}.completed` / `.failed` | counter | classed completions by result |
-//! | `tenant.{class}.cache_hit` | counter | classed queries answered from the result cache |
 //! | `tenant.{class}.in_flight` | gauge | admitted, not yet completed classed queries |
 //! | `tenant.{class}.sojourn_ns` | histogram | admission → completion per class |
 //! | `net.connections_opened` / `.connections_closed` | counter | TCP front-end connection lifecycle |

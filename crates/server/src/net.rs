@@ -14,8 +14,8 @@
 //!
 //! The paper's warehouse-scale argument is about *services*: Sirius queries
 //! arrive from phones over a network and land on a datacenter front-end.
-//! Until this module, the cluster, its QoS classes and its result caches
-//! were exercised only by in-process function calls; [`NetServer`] is the
+//! Until this module, the cluster and its QoS classes were exercised only
+//! by in-process function calls; [`NetServer`] is the
 //! missing protocol boundary. Queries arrive as [`Frame::Submit`] over the
 //! versioned, length-prefixed codec of [`crate::wire`], are routed through
 //! exactly the same [`SiriusCluster`] entry points the in-process callers

@@ -63,9 +63,7 @@ use sirius_vision::image::GrayImage;
 use crate::batch::{spawn_batch_collector, BatchPolicy, BatchedAsrStage, SiriusWindowScorer};
 use crate::metrics::{ServerMetrics, STAGES};
 use crate::pool::{spawn_stage_pool, Job};
-use crate::qos::{
-    CacheKey, CachePolicy, CachedAnswer, ResultCaches, TenantClass, TenantObs, TenantTable,
-};
+use crate::qos::{TenantClass, TenantObs, TenantTable};
 use crate::stream::{spawn_streaming_stages, StreamPolicy};
 
 /// Sizing of one stage's pool and queue.
@@ -112,9 +110,6 @@ pub struct ServerConfig {
     /// Tenant traffic classes served by [`SiriusServer::submit_classed`].
     /// Empty (the default) leaves only the class-less submit paths.
     pub tenants: Vec<TenantClass>,
-    /// The post-ASR result caches. Disabled (the default), the serving
-    /// path is exactly the uncached runtime; see [`crate::qos`].
-    pub cache: CachePolicy,
 }
 
 /// Worker threads the default ASR pool runs: one per available core (at
@@ -141,7 +136,6 @@ impl Default for ServerConfig {
             batch: BatchPolicy::default(),
             stream: StreamPolicy::default(),
             tenants: Vec::new(),
-            cache: CachePolicy::default(),
         }
     }
 }
@@ -176,12 +170,6 @@ impl ServerConfig {
     /// serves.
     pub fn with_tenant_classes(mut self, tenants: Vec<TenantClass>) -> Self {
         self.tenants = tenants;
-        self
-    }
-
-    /// Sets the result-cache policy.
-    pub fn with_cache_policy(mut self, cache: CachePolicy) -> Self {
-        self.cache = cache;
         self
     }
 
@@ -379,9 +367,6 @@ pub(crate) struct Ctx {
     /// The tenant class's telemetry when the query entered through
     /// [`SiriusServer::submit_classed`].
     pub(crate) tenant: Option<Arc<TenantObs>>,
-    /// The result-cache key this query missed on (set at the ASR-commit
-    /// consult); completion fills the cache under it.
-    pub(crate) cache_key: Option<CacheKey>,
 }
 
 /// A retained handle onto one stage's queue that refreshes its depth and
@@ -431,7 +416,6 @@ pub struct SiriusServer {
     config: ServerConfig,
     metrics: Arc<ServerMetrics>,
     tenants: TenantTable,
-    caches: Option<Arc<ResultCaches>>,
     submit_tx: Option<Sender<Job<Ctx, AsrRequest>>>,
     queue_probes: Vec<QueueProbe>,
     workers: Vec<JoinHandle<()>>,
@@ -472,10 +456,6 @@ impl SiriusServer {
         let (qa_tx, qa_rx) = bounded::<Job<Ctx, QaRequest>>(config.qa.queue_depth);
 
         let tenants = TenantTable::build(&config.tenants, &metrics);
-        let caches = config
-            .cache
-            .enabled
-            .then(|| Arc::new(ResultCaches::register(config.cache, &metrics)));
 
         let queue_probes = vec![
             QueueProbe::new(&metrics, "asr", &asr_tx),
@@ -496,9 +476,7 @@ impl SiriusServer {
             {
                 let metrics = Arc::clone(&metrics);
                 let recorder = Arc::clone(&recorder);
-                let caches = caches.clone();
-                move |mut ctx: Ctx, result| {
-                    let cache_key = ctx.cache_key.take();
+                move |ctx: Ctx, result| {
                     let response = result.map(|qa| SiriusResponse {
                         recognized: ctx.recognized,
                         outcome: SiriusOutcome::Answer(qa.answer),
@@ -511,11 +489,6 @@ impl SiriusServer {
                             total: ctx.started.elapsed(),
                         },
                     });
-                    if let (Some(caches), Some(key), Ok(response)) =
-                        (caches.as_deref(), cache_key, &response)
-                    {
-                        caches.fill(key, CachedAnswer::of(response));
-                    }
                     finish(
                         &metrics,
                         recorder.as_ref(),
@@ -595,12 +568,10 @@ impl SiriusServer {
             {
                 let metrics = Arc::clone(&metrics);
                 let recorder = Arc::clone(&recorder);
-                let caches = caches.clone();
                 move |mut ctx: Ctx, result| match result {
                     Ok(cls) => {
                         ctx.classify = cls.elapsed;
                         if let Some(action) = cls.action {
-                            let cache_key = ctx.cache_key.take();
                             let response = SiriusResponse {
                                 recognized: ctx.recognized,
                                 outcome: SiriusOutcome::Action(action),
@@ -613,9 +584,6 @@ impl SiriusServer {
                                     total: ctx.started.elapsed(),
                                 },
                             };
-                            if let (Some(caches), Some(key)) = (caches.as_deref(), cache_key) {
-                                caches.fill(key, CachedAnswer::of(&response));
-                            }
                             finish(
                                 &metrics,
                                 recorder.as_ref(),
@@ -665,46 +633,10 @@ impl SiriusServer {
         let asr_route = {
             let metrics = Arc::clone(&metrics);
             let recorder = Arc::clone(&recorder);
-            let caches = caches.clone();
             move |mut ctx: Ctx, result: Result<AsrResponse, SiriusError>| match result {
                 Ok(asr) => {
                     ctx.recognized = asr.recognized.clone();
                     ctx.asr_timing = asr.timing;
-                    // The post-ASR-commit cache consult: a verified hit
-                    // serves the cached outcome with this query's own fresh
-                    // ASR text/timing and never touches Classify/IMM/QA. A
-                    // miss stamps the key on the context so completion
-                    // fills the cache.
-                    if let Some(caches) = caches.as_deref() {
-                        let key = CacheKey::of(&asr.recognized, ctx.image.as_ref());
-                        if let Some(cached) = caches.lookup(&key, &asr.recognized) {
-                            if let Some(tenant) = &ctx.tenant {
-                                tenant.cache_hit.inc();
-                            }
-                            let response = SiriusResponse {
-                                recognized: asr.recognized,
-                                outcome: cached.outcome,
-                                matched_venue: cached.matched_venue,
-                                timing: StageTiming {
-                                    asr: asr.timing,
-                                    classify: Duration::ZERO,
-                                    qa: None,
-                                    imm: None,
-                                    total: ctx.started.elapsed(),
-                                },
-                            };
-                            finish(
-                                &metrics,
-                                recorder.as_ref(),
-                                ctx.started,
-                                ctx.tenant.as_deref(),
-                                &ctx.ticket,
-                                Ok(response),
-                            );
-                            return;
-                        }
-                        ctx.cache_key = Some(key);
-                    }
                     let deadline = ctx.deadline;
                     let job = Job::with_deadline(
                         ctx,
@@ -765,7 +697,6 @@ impl SiriusServer {
                 Arc::clone(&metrics),
                 Arc::clone(&recorder),
                 remote,
-                caches.clone(),
                 asr_route,
                 asr_expire,
             ));
@@ -810,7 +741,6 @@ impl SiriusServer {
             config,
             metrics,
             tenants,
-            caches,
             submit_tx: Some(asr_tx),
             queue_probes,
             workers,
@@ -935,20 +865,6 @@ impl SiriusServer {
         self.submit_inner(input, Some(class.slo), Some(Arc::clone(obs)))
     }
 
-    /// The result caches, when [`ServerConfig::cache`] enabled them.
-    pub fn caches(&self) -> Option<&Arc<ResultCaches>> {
-        self.caches.as_ref()
-    }
-
-    /// Invalidates both result caches in O(1) (no-op when caching is off).
-    /// Pre-bump entries can never be served again; they are lazily removed
-    /// (counted `cache.{qa,imm}.stale`) as lookups touch them.
-    pub fn invalidate_result_caches(&self) {
-        if let Some(caches) = &self.caches {
-            caches.invalidate_all();
-        }
-    }
-
     /// Admits a query only if its deadline looks meetable: sheds up front
     /// when the [`SiriusServer::expected_sojourn`] estimate already exceeds
     /// `deadline`, and stamps admitted jobs so workers drop them unserved
@@ -1011,7 +927,6 @@ impl SiriusServer {
             imm_timing: None,
             matched_venue: None,
             tenant: tenant.clone(),
-            cache_key: None,
         };
         let req = AsrRequest {
             audio: input.audio,

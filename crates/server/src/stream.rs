@@ -55,7 +55,6 @@ use sirius_vision::image::GrayImage;
 use crate::batch::BatchHandle;
 use crate::metrics::{ServerMetrics, StreamObs};
 use crate::pool::Job;
-use crate::qos::{CacheKey, CachedAnswer, ResultCaches};
 use crate::runtime::{finish, Ctx, ServerConfig};
 
 /// Governs streaming ASR service: chunked ingestion pacing and speculative
@@ -453,7 +452,6 @@ pub(crate) fn spawn_streaming_stages<R, E>(
     metrics: Arc<ServerMetrics>,
     recorder: Arc<dyn Recorder>,
     remote: Option<BatchHandle>,
-    caches: Option<Arc<ResultCaches>>,
     route: R,
     on_expired: E,
 ) -> Vec<JoinHandle<()>>
@@ -483,7 +481,6 @@ where
         let metrics = Arc::clone(&metrics);
         let recorder = Arc::clone(&recorder);
         let remote = remote.clone();
-        let caches = caches.clone();
         let spec_tx = spec_tx.clone();
         let route = route.clone();
         let on_expired = on_expired.clone();
@@ -536,15 +533,6 @@ where
                             Served::Asr(result) => route(ctx, result),
                             Served::Complete { asr, payload } => {
                                 let response = assemble(&ctx, asr, payload);
-                                // A confirmed speculation bypasses the
-                                // classify/QA queues where misses normally
-                                // fill the caches, so fill here — the next
-                                // identical query then hits at ASR commit.
-                                if let Some(caches) = caches.as_deref() {
-                                    let key =
-                                        CacheKey::of(&response.recognized, ctx.image.as_ref());
-                                    caches.fill(key, CachedAnswer::of(&response));
-                                }
                                 finish(
                                     &metrics,
                                     recorder.as_ref(),
