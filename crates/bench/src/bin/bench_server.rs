@@ -22,14 +22,7 @@
 //!    cross-checked against the closed-form M/M/1/K blocking probability
 //!    (`sirius_dcsim::ShedComparison`), and admitted outputs are checked
 //!    against the serial references.
-//! 4. **Batching sweep** — the cross-query ASR batch collector's
-//!    `(max_batch, max_delay)` grid at ρ ∈ {0.8, 1.1, 1.5} of the serial
-//!    single-core DNN rate, with paired arrivals per load. Reported per
-//!    point: throughput, p50/p99 sojourn and the achieved batch-size
-//!    distribution; per load, the Pareto frontier over (throughput, p99).
-//!    Every output is checked bit-for-bit against the serial DNN
-//!    references.
-//! 5. **Streaming sweep** — the streaming ASR stage (chunked ingestion at
+//! 4. **Streaming sweep** — the streaming ASR stage (chunked ingestion at
 //!    0.25× real-time pacing with speculative downstream pipelining) at
 //!    chunk sizes {80, 160, 320} ms and ρ ∈ {0.2, 0.8, 1.1} of the
 //!    measured streaming occupancy capacity. Reported per point:
@@ -39,10 +32,10 @@
 //!    ρ ≤ 0.8 (the decode overlapped audio arrival, so only the tail and
 //!    downstream remain). Outputs are checked bit-for-bit against the
 //!    serial references.
-//! 6. **Saturation** — closed-loop clients hammer the runtime with 1 and
+//! 5. **Saturation** — closed-loop clients hammer the runtime with 1 and
 //!    with `--workers` workers per heavy stage; staged outputs are checked
 //!    against the serial references query-by-query.
-//! 7. **Cluster sweep** — the sharded `SiriusCluster` front-end at
+//! 6. **Cluster sweep** — the sharded `SiriusCluster` front-end at
 //!    N ∈ {1, 2, 4} replicas × every routing policy. A deep-overload
 //!    round-robin probe first measures each replica count's capacity on
 //!    this machine; the measured points then run open-loop at 1.25 × that
@@ -63,7 +56,7 @@
 //!    cluster telemetry must account for every query exactly once, and the
 //!    speedups are restated against the paper's Table 8 accelerated
 //!    design via `sirius_dcsim::ClusterComparison`.
-//! 8. **Tenant sweep** — three tenant classes (premium, standard, best
+//! 7. **Tenant sweep** — three tenant classes (premium, standard, best
 //!    effort) with weighted admission under heavy-tailed, diurnal Zipf
 //!    arrivals at ρ ∈ {0.8, 1.1, 1.5}. Reported per class: offered,
 //!    admitted, shed, expired and p99; gated on premium keeping its SLO
@@ -94,8 +87,8 @@ use sirius_dcsim::{
 use sirius_obs::metrics::{bucket_bounds, bucket_index};
 use sirius_obs::{HistogramSnapshot, Snapshot};
 use sirius_server::{
-    BatchPolicy, ClusterConfig, NetClient, NetConfig, NetServer, RoutePolicy, ServerConfig,
-    SiriusCluster, SiriusServer, StreamPolicy, TenantClass, STAGES,
+    ClusterConfig, NetClient, NetConfig, NetServer, RoutePolicy, ServerConfig, SiriusCluster,
+    SiriusServer, StreamPolicy, TenantClass, STAGES,
 };
 use sirius_speech::asr::AcousticModelKind;
 use sirius_speech::features::SAMPLE_RATE;
@@ -405,100 +398,6 @@ fn policy_run(
         within_slo,
         wall,
         p99_ms: ms(LatencyStats::from_samples(&sojourns).p99),
-        outputs_match,
-        accounting_balanced,
-    }
-}
-
-/// Offered loads for the batching sweep, relative to the *serial single-core
-/// DNN* service rate: one load just under that capacity and two past it,
-/// where cross-query batches actually form.
-const BATCH_RHO: [f64; 3] = [0.8, 1.1, 1.5];
-/// `(max_batch, max_delay_ms)` policy grid. `(1, 2)` is the unbatched
-/// baseline (no collector is spawned).
-const BATCH_GRID: [(usize, u64); 5] = [(1, 2), (4, 1), (4, 4), (8, 1), (8, 4)];
-
-/// One batching policy's showing at one offered load.
-struct BatchOutcome {
-    qps: f64,
-    p50_ms: f64,
-    p99_ms: f64,
-    /// Blocks coalesced per GEMM flush (0s when no collector ran).
-    batch_mean: f64,
-    batch_p95: u64,
-    batch_max: u64,
-    flushes_full: u64,
-    flushes_timeout: u64,
-    outputs_match: bool,
-    /// accepted = completed, no failures, and the flush census balances.
-    accounting_balanced: bool,
-}
-
-/// Drives one fresh DNN-acoustic runtime open-loop at rate `lambda` under
-/// one batching policy. The queue is deep enough that nothing sheds, so
-/// every arrival's output is checked against the serial DNN reference.
-#[allow(clippy::too_many_arguments)]
-fn batch_run(
-    sirius: &Arc<Sirius>,
-    inputs: &[SiriusInput],
-    reference: &[(String, String, Option<String>)],
-    lambda: f64,
-    arrivals: usize,
-    workers: usize,
-    policy: BatchPolicy,
-    seed: u64,
-) -> BatchOutcome {
-    let mut config = ServerConfig::with_workers(workers)
-        .with_queue_depth(arrivals.max(16))
-        .with_batch_policy(policy);
-    config.acoustic = AcousticModelKind::Dnn;
-    let server = SiriusServer::start(Arc::clone(sirius), config);
-
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut tickets = Vec::with_capacity(arrivals);
-    let begun = Instant::now();
-    let mut next = begun;
-    for i in 0..arrivals {
-        let gap = -(1.0 - rng.gen_range(0.0f64..1.0)).ln() / lambda;
-        next += Duration::from_secs_f64(gap);
-        wait_until(next);
-        let at = i % inputs.len();
-        let ticket = server
-            .submit(inputs[at].clone())
-            .expect("deep queue admits every arrival");
-        tickets.push((at, ticket));
-    }
-    let mut outputs_match = true;
-    let mut completed = 0u64;
-    for (at, ticket) in tickets {
-        let response = ticket.wait().expect("query served");
-        completed += 1;
-        if payload(&response) != reference[at] {
-            outputs_match = false;
-        }
-    }
-    let wall = begun.elapsed().as_secs_f64();
-
-    let snap = server.metrics_snapshot();
-    let sojourn = snap.histogram("sojourn_ns").expect("sojourn histogram");
-    let sizes = snap.histogram("asr.batch_size").expect("batch histogram");
-    let flushes_full = snap.counter("asr.batch_flush_full").unwrap_or(0);
-    let flushes_timeout = snap.counter("asr.batch_flush_timeout").unwrap_or(0);
-    let accounting_balanced = snap.counter("admission.accepted") == Some(completed)
-        && snap.counter("completed") == Some(completed)
-        && snap.counter("failed") == Some(0)
-        && sizes.count == flushes_full + flushes_timeout;
-    server.shutdown();
-
-    BatchOutcome {
-        qps: completed as f64 / wall,
-        p50_ms: sojourn.percentile(50.0) as f64 / 1e6,
-        p99_ms: sojourn.percentile(99.0) as f64 / 1e6,
-        batch_mean: sizes.mean(),
-        batch_p95: sizes.percentile(95.0),
-        batch_max: sizes.max,
-        flushes_full,
-        flushes_timeout,
         outputs_match,
         accounting_balanced,
     }
@@ -1369,44 +1268,6 @@ fn main() {
         .iter()
         .all(|(_, a, b)| a.accounting_balanced && b.accounting_balanced);
 
-    // Batching sweep: DNN acoustic — the model with a block GEMM to batch.
-    // All arrival rates are relative to the *serial single-core* DNN
-    // service rate; the grid points at one load share one arrival process
-    // so policies compare paired.
-    eprintln!("serial DNN baseline over {} queries...", inputs.len());
-    let dnn_reference: Vec<_> = inputs
-        .iter()
-        .map(|input| payload(&sirius.process_with(input, AcousticModelKind::Dnn)))
-        .collect();
-    let t = Instant::now();
-    for input in &inputs {
-        let _ = sirius.process_with(input, AcousticModelKind::Dnn);
-    }
-    let dnn_mu = inputs.len() as f64 / t.elapsed().as_secs_f64();
-    let mut batch_rows = Vec::new();
-    for (i, &rho) in BATCH_RHO.iter().enumerate() {
-        let lambda = rho * dnn_mu;
-        let pair_seed = seed.wrapping_add(0xBA7C + i as u64);
-        for &(max_batch, delay_ms) in BATCH_GRID.iter() {
-            eprintln!(
-                "batch sweep: rho={rho:.1} lambda={lambda:.1}/s max_batch={max_batch} max_delay={delay_ms}ms ({arrivals} arrivals)..."
-            );
-            let outcome = batch_run(
-                &sirius,
-                &inputs,
-                &dnn_reference,
-                lambda,
-                arrivals,
-                workers,
-                BatchPolicy::new(max_batch, Duration::from_millis(delay_ms)),
-                pair_seed,
-            );
-            batch_rows.push((rho, max_batch, delay_ms, outcome));
-        }
-    }
-    let batch_outputs_match = batch_rows.iter().all(|(.., o)| o.outputs_match);
-    let batch_accounting = batch_rows.iter().all(|(.., o)| o.accounting_balanced);
-
     // Streaming sweep: GMM acoustic with speculative downstream
     // pipelining, audio paced in at STREAM_PACING× real time. Capacity is
     // occupancy-bound (a worker holds a query for its whole paced arrival
@@ -1763,54 +1624,6 @@ fn main() {
     println!(
         "  ], \"mm1k_worst_absolute_error\": {}, \"deadline_beats_shed_on_full_at_high_load\": {deadline_beats_shed}, \"outputs_match_serial\": {policy_outputs_match}, \"accounting_balanced\": {policy_accounting} }},",
         opt(shed_cmp.worst_absolute_error())
-    );
-    println!(
-        "  \"batch_sweep\": {{ \"acoustic\": \"dnn\", \"workers\": {workers}, \"serial_dnn_qps\": {dnn_mu:.2}, \"arrivals_per_point\": {arrivals}, \"note\": \"rho is relative to the serial single-core DNN rate; all pools share one machine\", \"points\": ["
-    );
-    for (i, (rho, max_batch, delay_ms, o)) in batch_rows.iter().enumerate() {
-        let comma = if i + 1 < batch_rows.len() { "," } else { "" };
-        println!(
-            "    {{ \"rho\": {rho:.2}, \"max_batch\": {max_batch}, \"max_delay_ms\": {delay_ms}, \"qps\": {:.2}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"batch_size_mean\": {:.3}, \"batch_size_p95\": {}, \"batch_size_max\": {}, \"flush_full\": {}, \"flush_timeout\": {} }}{comma}",
-            o.qps,
-            o.p50_ms,
-            o.p99_ms,
-            o.batch_mean,
-            o.batch_p95,
-            o.batch_max,
-            o.flushes_full,
-            o.flushes_timeout
-        );
-    }
-    // Per-load Pareto frontier over (throughput up, p99 down): the policy
-    // points no other policy beats on both axes at that load.
-    println!("  ], \"pareto\": [");
-    for (i, &rho) in BATCH_RHO.iter().enumerate() {
-        let at_rho: Vec<_> = batch_rows.iter().filter(|(r, ..)| *r == rho).collect();
-        let frontier: Vec<String> = at_rho
-            .iter()
-            .filter(|(_, mb, dl, o)| {
-                !at_rho.iter().any(|(_, omb, odl, other)| {
-                    (omb, odl) != (mb, dl)
-                        && other.qps >= o.qps
-                        && other.p99_ms <= o.p99_ms
-                        && (other.qps > o.qps || other.p99_ms < o.p99_ms)
-                })
-            })
-            .map(|(_, mb, dl, o)| {
-                format!(
-                    "{{ \"max_batch\": {mb}, \"max_delay_ms\": {dl}, \"qps\": {:.2}, \"p99_ms\": {:.3} }}",
-                    o.qps, o.p99_ms
-                )
-            })
-            .collect();
-        let comma = if i + 1 < BATCH_RHO.len() { "," } else { "" };
-        println!(
-            "    {{ \"rho\": {rho:.2}, \"frontier\": [{}] }}{comma}",
-            frontier.join(", ")
-        );
-    }
-    println!(
-        "  ], \"outputs_match_serial\": {batch_outputs_match}, \"accounting_balanced\": {batch_accounting} }},"
     );
     println!(
         "  \"streaming_sweep\": {{ \"acoustic\": \"gmm\", \"workers\": {workers}, \"pacing\": {STREAM_PACING}, \"arrivals_per_point\": {stream_arrivals}, \"serial_floor_ms\": {:.3}, \"note\": \"rho is relative to the measured streaming occupancy capacity; from_end subtracts the paced arrival window\", \"points\": [",

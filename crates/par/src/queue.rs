@@ -60,9 +60,9 @@ pub enum TrySendError<T> {
 #[derive(Debug, PartialEq, Eq)]
 pub struct SendError<T>(pub T);
 
-/// Why [`Receiver::try_recv`] returned no value. A batch collector draining
-/// opportunistically needs the distinction: `Empty` means "stop collecting
-/// for now", `Disconnected` means "flush and exit".
+/// Why [`Receiver::try_recv`] returned no value. A consumer draining
+/// opportunistically needs the distinction: `Empty` means "nothing for
+/// now", `Disconnected` means "nothing ever again".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TryRecvError {
     /// The queue is currently empty but senders remain; items may arrive.
@@ -176,9 +176,8 @@ impl<T> Receiver<T> {
         }
     }
 
-    /// Dequeues, blocking up to `timeout` while the queue is empty — the
-    /// drain-with-deadline primitive a batch collector needs to honour its
-    /// `max_delay` flush rule.
+    /// Dequeues, blocking up to `timeout` while the queue is empty (a
+    /// drain-with-deadline primitive).
     ///
     /// # Errors
     ///

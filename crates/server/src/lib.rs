@@ -34,7 +34,6 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod cluster;
 pub mod metrics;
 pub mod net;
@@ -44,9 +43,8 @@ pub mod runtime;
 pub mod stream;
 pub mod wire;
 
-pub use batch::{spawn_batch_collector, BatchHandle, BatchPolicy, BatchedAsrStage};
 pub use cluster::{ClusterConfig, ClusterTicket, RoutePolicy, SiriusCluster};
-pub use metrics::{BatchObs, ServerMetrics, StageObs, StreamObs, STAGES};
+pub use metrics::{ServerMetrics, StageObs, StreamObs, STAGES};
 pub use net::{http_get, NetClient, NetClientError, NetConfig, NetMetrics, NetServer};
 pub use pool::{spawn_stage_pool, Job};
 pub use qos::{TenantClass, TenantObs};

@@ -19,9 +19,6 @@
 //! | `{stage}.queue_depth` | gauge | queued items at snapshot time |
 //! | `{stage}.queue_capacity` | gauge | bounded queue capacity |
 //! | `{stage}.in_flight` | gauge | jobs a worker is serving right now |
-//! | `{stage}.batch_size` | histogram | blocks coalesced per collector flush |
-//! | `{stage}.batch_flush_full` | counter | flushes at `max_batch` blocks |
-//! | `{stage}.batch_flush_timeout` | counter | partial flushes forced by `max_delay` |
 //! | `asr.partials_emitted` | counter | stable-prefix partial hypotheses emitted |
 //! | `asr.commit_latency_ns` | histogram | chunk arrival → its words committed |
 //! | `asr.spec_dispatched` | counter | speculative downstream jobs dispatched |
@@ -34,7 +31,7 @@
 //! | `completed` / `failed` | counter | ticket completions by result |
 //! | `sojourn_ns` | histogram | admission → completion, successful queries |
 //! | `sojourn_failed_ns` | histogram | admission → completion, failed queries |
-//! | `tenant.{class}.accepted` / `.shed_deadline` | counter | classed admission outcomes |
+//! | `tenant.{class}.accepted` / `.shed_deadline` / `.shed` | counter | classed admission outcomes |
 //! | `tenant.{class}.completed` / `.failed` | counter | classed completions by result |
 //! | `tenant.{class}.in_flight` | gauge | admitted, not yet completed classed queries |
 //! | `tenant.{class}.sojourn_ns` | histogram | admission → completion per class |
@@ -95,32 +92,6 @@ impl StageObs {
             panics: registry.counter(&format!("{stage}.panics")),
             expired: registry.counter(&format!("{stage}.expired")),
             in_flight: registry.gauge(&format!("{stage}.in_flight")),
-        })
-    }
-}
-
-/// Batch-collector telemetry for one stage (today only ASR batches).
-///
-/// `size.count == flush_full + flush_timeout` — every flush records its
-/// size exactly once, so the histogram doubles as a flush census.
-#[derive(Debug, Clone)]
-pub struct BatchObs {
-    /// Blocks coalesced into each GEMM flush.
-    pub size: Histogram,
-    /// Flushes triggered by reaching `max_batch` blocks.
-    pub flush_full: Counter,
-    /// Partial flushes forced by the oldest block waiting out `max_delay`
-    /// (includes drain-at-teardown flushes).
-    pub flush_timeout: Counter,
-}
-
-impl BatchObs {
-    /// Registers the collector's metrics under `{stage}.batch_…` names.
-    pub fn register(registry: &Registry, stage: &str) -> Arc<Self> {
-        Arc::new(Self {
-            size: registry.histogram(&format!("{stage}.batch_size")),
-            flush_full: registry.counter(&format!("{stage}.batch_flush_full")),
-            flush_timeout: registry.counter(&format!("{stage}.batch_flush_timeout")),
         })
     }
 }
@@ -205,8 +176,6 @@ pub struct ServerMetrics {
     pub imm: Arc<StageObs>,
     /// Question-answering pool telemetry.
     pub qa: Arc<StageObs>,
-    /// ASR batch-collector telemetry (flat counters when batching is off).
-    pub batch: Arc<BatchObs>,
     /// Streaming-ASR telemetry (flat when streaming is off).
     pub stream: Arc<StreamObs>,
 }
@@ -239,7 +208,6 @@ impl ServerMetrics {
             classify: StageObs::register(&registry, &scoped("classify")),
             imm: StageObs::register(&registry, &scoped("imm")),
             qa: StageObs::register(&registry, &scoped("qa")),
-            batch: BatchObs::register(&registry, &scoped("asr")),
             stream: StreamObs::register(&registry, prefix),
             prefix: prefix.to_owned(),
             registry,
@@ -304,12 +272,6 @@ mod tests {
             assert!(snap.meter(&format!("{stage}.service_ewma_ns")).is_some());
         }
         assert!(m.stage("nope").is_none());
-        m.batch.size.record(3);
-        m.batch.flush_full.inc();
-        let snap = m.registry().snapshot();
-        assert_eq!(snap.histogram("asr.batch_size").unwrap().count, 1);
-        assert_eq!(snap.counter("asr.batch_flush_full"), Some(1));
-        assert_eq!(snap.counter("asr.batch_flush_timeout"), Some(0));
     }
 
     #[test]

@@ -72,6 +72,10 @@ pub struct TenantObs {
     pub accepted: Counter,
     /// Queries shed because the expected sojourn exceeded the class budget.
     pub shed_deadline: Counter,
+    /// Queries shed because the admission (ASR) queue was full; with
+    /// `accepted` and `shed_deadline` this accounts for every classed
+    /// submit.
+    pub shed: Counter,
     /// Admitted queries that completed with a response.
     pub completed: Counter,
     /// Admitted queries that completed with an error (expired in a queue,
@@ -92,6 +96,7 @@ impl TenantObs {
         Arc::new(Self {
             accepted: registry.counter(&name("accepted")),
             shed_deadline: registry.counter(&name("shed_deadline")),
+            shed: registry.counter(&name("shed")),
             completed: registry.counter(&name("completed")),
             failed: registry.counter(&name("failed")),
             in_flight: registry.gauge(&name("in_flight")),

@@ -47,20 +47,19 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use sirius::classifier::DeviceAction;
 use sirius::error::SiriusError;
 use sirius::pipeline::{Sirius, SiriusInput, SiriusOutcome, SiriusResponse, StageTiming};
 use sirius::stage::{
     AsrRequest, AsrResponse, AsrStage, ClassifyRequest, ClassifyStage, ImmRequest, ImmStage,
-    QaRequest, QaStage,
+    QaRequest, QaResponse, QaStage,
 };
 use sirius_obs::{Gauge, NoopRecorder, Recorder, Snapshot, SpanKind};
-use sirius_par::queue::{bounded, Sender, TrySendError};
+use sirius_par::queue::{bounded, SendError, Sender, TrySendError};
 use sirius_speech::asr::{AcousticModelKind, AsrTiming};
-use sirius_speech::WindowScorer;
 use sirius_vision::db::ImmTiming;
 use sirius_vision::image::GrayImage;
 
-use crate::batch::{spawn_batch_collector, BatchPolicy, BatchedAsrStage, SiriusWindowScorer};
 use crate::metrics::{ServerMetrics, STAGES};
 use crate::pool::{spawn_stage_pool, Job};
 use crate::qos::{TenantClass, TenantObs, TenantTable};
@@ -99,10 +98,6 @@ pub struct ServerConfig {
     pub qa: StageConfig,
     /// Acoustic model every query is scored with.
     pub acoustic: AcousticModelKind,
-    /// Cross-query dynamic batching of ASR DNN block GEMMs. The default
-    /// (`max_batch == 1`) spawns no collector and serves exactly the
-    /// per-query path; see [`crate::batch`].
-    pub batch: BatchPolicy,
     /// Streaming ASR ingestion and speculative downstream pipelining. The
     /// default (`chunk == 0`) serves whole utterances; see
     /// [`crate::stream`].
@@ -133,7 +128,6 @@ impl Default for ServerConfig {
             imm: StageConfig::default(),
             qa: StageConfig::default(),
             acoustic: AcousticModelKind::Gmm,
-            batch: BatchPolicy::default(),
             stream: StreamPolicy::default(),
             tenants: Vec::new(),
         }
@@ -150,13 +144,6 @@ impl ServerConfig {
         cfg.imm.workers = workers;
         cfg.qa.workers = workers;
         cfg
-    }
-
-    /// Sets the ASR batch collector's policy. Only DNN-scored queries
-    /// batch; with the default GMM acoustic model the policy is inert.
-    pub fn with_batch_policy(mut self, batch: BatchPolicy) -> Self {
-        self.batch = batch;
-        self
     }
 
     /// Sets the streaming ASR policy. With the default (non-streaming)
@@ -293,12 +280,11 @@ fn complete(state: &Arc<TicketState>, result: Result<SiriusResponse, SiriusError
 pub(crate) fn finish(
     metrics: &ServerMetrics,
     recorder: &dyn Recorder,
-    started: Instant,
-    tenant: Option<&TenantObs>,
-    ticket: &Arc<TicketState>,
+    ctx: &Ctx,
     result: Result<SiriusResponse, SiriusError>,
 ) {
-    let sojourn = started.elapsed();
+    let sojourn = ctx.started.elapsed();
+    let tenant = ctx.tenant.as_deref();
     match &result {
         Ok(_) => {
             metrics.completed.inc();
@@ -322,7 +308,7 @@ pub(crate) fn finish(
     if recorder.enabled() {
         recorder.record("total", SpanKind::Total, sojourn);
     }
-    complete(ticket, result);
+    complete(&ctx.ticket, result);
 }
 
 /// Completes the ticket of a job that expired in a queue: it already missed
@@ -338,15 +324,37 @@ fn expire(metrics: &ServerMetrics, recorder: &dyn Recorder, ctx: Ctx) {
     finish(
         metrics,
         recorder,
-        ctx.started,
-        ctx.tenant.as_deref(),
-        &ctx.ticket,
+        &ctx,
         Err(SiriusError::DeadlineUnmeetable {
             expected,
             deadline,
             retry_after: expected.saturating_sub(deadline),
         }),
     );
+}
+
+/// Forwards a query to the next stage's queue with a blocking `send`
+/// (back-pressure). A closed queue means the runtime is shutting down, so
+/// the query completes with [`SiriusError::ShuttingDown`] instead.
+fn hand_off<R>(
+    metrics: &ServerMetrics,
+    recorder: &dyn Recorder,
+    tx: &Sender<Job<Ctx, R>>,
+    ctx: Ctx,
+    req: R,
+) {
+    let deadline = ctx.deadline;
+    if let Err(SendError(job)) = tx.send(Job::with_deadline(ctx, req, deadline)) {
+        finish(metrics, recorder, &job.ctx, Err(SiriusError::ShuttingDown));
+    }
+}
+
+/// The stage a query leaves the pipeline through, with that stage's result.
+pub(crate) enum Exit {
+    /// The classifier recognized a device action.
+    Action(DeviceAction),
+    /// Question answering produced the answer.
+    Answer(QaResponse),
 }
 
 /// Per-query state carried alongside stage requests as they move through
@@ -367,6 +375,32 @@ pub(crate) struct Ctx {
     /// The tenant class's telemetry when the query entered through
     /// [`SiriusServer::submit_classed`].
     pub(crate) tenant: Option<Arc<TenantObs>>,
+}
+
+impl Ctx {
+    /// The query's response: the stage results gathered so far plus the
+    /// stage it exits through. Every completion route (the classifier's
+    /// action exit, the QA stage and a confirmed streaming speculation)
+    /// builds its response here, field for field as
+    /// [`Sirius::try_process_with`] does.
+    pub(crate) fn respond(&mut self, exit: Exit) -> SiriusResponse {
+        let (outcome, qa) = match exit {
+            Exit::Action(action) => (SiriusOutcome::Action(action), None),
+            Exit::Answer(qa) => (SiriusOutcome::Answer(qa.answer), Some(qa.breakdown)),
+        };
+        SiriusResponse {
+            recognized: std::mem::take(&mut self.recognized),
+            outcome,
+            matched_venue: self.matched_venue.take(),
+            timing: StageTiming {
+                asr: self.asr_timing,
+                classify: self.classify,
+                qa,
+                imm: self.imm_timing,
+                total: self.started.elapsed(),
+            },
+        }
+    }
 }
 
 /// A retained handle onto one stage's queue that refreshes its depth and
@@ -476,27 +510,9 @@ impl SiriusServer {
             {
                 let metrics = Arc::clone(&metrics);
                 let recorder = Arc::clone(&recorder);
-                move |ctx: Ctx, result| {
-                    let response = result.map(|qa| SiriusResponse {
-                        recognized: ctx.recognized,
-                        outcome: SiriusOutcome::Answer(qa.answer),
-                        matched_venue: ctx.matched_venue,
-                        timing: StageTiming {
-                            asr: ctx.asr_timing,
-                            classify: ctx.classify,
-                            qa: Some(qa.breakdown),
-                            imm: ctx.imm_timing,
-                            total: ctx.started.elapsed(),
-                        },
-                    });
-                    finish(
-                        &metrics,
-                        recorder.as_ref(),
-                        ctx.started,
-                        ctx.tenant.as_deref(),
-                        &ctx.ticket,
-                        response,
-                    );
+                move |mut ctx: Ctx, result: Result<QaResponse, SiriusError>| {
+                    let response = result.map(|qa| ctx.respond(Exit::Answer(qa)));
+                    finish(&metrics, recorder.as_ref(), &ctx, response);
                 }
             },
             {
@@ -521,33 +537,12 @@ impl SiriusServer {
                     Ok(imm) => {
                         ctx.imm_timing = imm.timing;
                         ctx.matched_venue = imm.matched_venue;
-                        let deadline = ctx.deadline;
-                        let job = Job::with_deadline(
-                            ctx,
-                            QaRequest {
-                                question: imm.question,
-                            },
-                            deadline,
-                        );
-                        if let Err(sirius_par::queue::SendError(job)) = qa_tx.send(job) {
-                            finish(
-                                &metrics,
-                                recorder.as_ref(),
-                                job.ctx.started,
-                                job.ctx.tenant.as_deref(),
-                                &job.ctx.ticket,
-                                Err(SiriusError::ShuttingDown),
-                            );
-                        }
+                        let req = QaRequest {
+                            question: imm.question,
+                        };
+                        hand_off(&metrics, recorder.as_ref(), &qa_tx, ctx, req);
                     }
-                    Err(err) => finish(
-                        &metrics,
-                        recorder.as_ref(),
-                        ctx.started,
-                        ctx.tenant.as_deref(),
-                        &ctx.ticket,
-                        Err(err),
-                    ),
+                    Err(err) => finish(&metrics, recorder.as_ref(), &ctx, Err(err)),
                 }
             },
             {
@@ -572,51 +567,17 @@ impl SiriusServer {
                     Ok(cls) => {
                         ctx.classify = cls.elapsed;
                         if let Some(action) = cls.action {
-                            let response = SiriusResponse {
-                                recognized: ctx.recognized,
-                                outcome: SiriusOutcome::Action(action),
-                                matched_venue: None,
-                                timing: StageTiming {
-                                    asr: ctx.asr_timing,
-                                    classify: ctx.classify,
-                                    qa: None,
-                                    imm: None,
-                                    total: ctx.started.elapsed(),
-                                },
-                            };
-                            finish(
-                                &metrics,
-                                recorder.as_ref(),
-                                ctx.started,
-                                ctx.tenant.as_deref(),
-                                &ctx.ticket,
-                                Ok(response),
-                            );
+                            let response = ctx.respond(Exit::Action(action));
+                            finish(&metrics, recorder.as_ref(), &ctx, Ok(response));
                             return;
                         }
-                        let question = ctx.recognized.clone();
-                        let image = ctx.image.take();
-                        let deadline = ctx.deadline;
-                        let job = Job::with_deadline(ctx, ImmRequest { question, image }, deadline);
-                        if let Err(sirius_par::queue::SendError(job)) = imm_tx.send(job) {
-                            finish(
-                                &metrics,
-                                recorder.as_ref(),
-                                job.ctx.started,
-                                job.ctx.tenant.as_deref(),
-                                &job.ctx.ticket,
-                                Err(SiriusError::ShuttingDown),
-                            );
-                        }
+                        let req = ImmRequest {
+                            question: ctx.recognized.clone(),
+                            image: ctx.image.take(),
+                        };
+                        hand_off(&metrics, recorder.as_ref(), &imm_tx, ctx, req);
                     }
-                    Err(err) => finish(
-                        &metrics,
-                        recorder.as_ref(),
-                        ctx.started,
-                        ctx.tenant.as_deref(),
-                        &ctx.ticket,
-                        Err(err),
-                    ),
+                    Err(err) => finish(&metrics, recorder.as_ref(), &ctx, Err(err)),
                 }
             },
             {
@@ -627,9 +588,9 @@ impl SiriusServer {
         ));
 
         // ASR pool: the chain's head, fed by `submit`. Routing and expiry
-        // are identical whether or not the pool scores through the batch
-        // collector, so both closures are built once and moved into
-        // whichever stage variant the batch policy selects.
+        // are identical for the whole-utterance and streaming stages, so
+        // both closures are built once and moved into whichever variant
+        // the stream policy selects.
         let asr_route = {
             let metrics = Arc::clone(&metrics);
             let recorder = Arc::clone(&recorder);
@@ -637,33 +598,12 @@ impl SiriusServer {
                 Ok(asr) => {
                     ctx.recognized = asr.recognized.clone();
                     ctx.asr_timing = asr.timing;
-                    let deadline = ctx.deadline;
-                    let job = Job::with_deadline(
-                        ctx,
-                        ClassifyRequest {
-                            recognized: asr.recognized,
-                        },
-                        deadline,
-                    );
-                    if let Err(sirius_par::queue::SendError(job)) = cls_tx.send(job) {
-                        finish(
-                            &metrics,
-                            recorder.as_ref(),
-                            job.ctx.started,
-                            job.ctx.tenant.as_deref(),
-                            &job.ctx.ticket,
-                            Err(SiriusError::ShuttingDown),
-                        );
-                    }
+                    let req = ClassifyRequest {
+                        recognized: asr.recognized,
+                    };
+                    hand_off(&metrics, recorder.as_ref(), &cls_tx, ctx, req);
                 }
-                Err(err) => finish(
-                    &metrics,
-                    recorder.as_ref(),
-                    ctx.started,
-                    ctx.tenant.as_deref(),
-                    &ctx.ticket,
-                    Err(err),
-                ),
+                Err(err) => finish(&metrics, recorder.as_ref(), &ctx, Err(err)),
             }
         };
         let asr_expire = {
@@ -672,58 +612,15 @@ impl SiriusServer {
             move |ctx: Ctx| expire(&metrics, recorder.as_ref(), ctx)
         };
         if config.stream.is_streaming() {
-            // Streaming ASR workers decode paced chunks in place; when the
-            // batch policy also calls for a collector, DNN block GEMMs are
-            // still coalesced across queries — the streaming recognizer
-            // scores through the same collector handle.
-            let remote = if config.batch.is_batching() {
-                let scorer: Arc<dyn WindowScorer> =
-                    Arc::new(SiriusWindowScorer::new(Arc::clone(&sirius)));
-                let (handle, collector) = spawn_batch_collector(
-                    scorer,
-                    config.batch,
-                    Arc::clone(&metrics.batch),
-                    config.asr.workers.max(1),
-                );
-                workers.push(collector);
-                Some(handle)
-            } else {
-                None
-            };
             workers.extend(spawn_streaming_stages(
                 Arc::clone(&sirius),
                 &config,
                 asr_rx,
                 Arc::clone(&metrics),
                 Arc::clone(&recorder),
-                remote,
                 asr_route,
                 asr_expire,
             ));
-        } else if config.batch.is_batching() {
-            // Workers hold the collector's handle through their stage, so
-            // the pool exiting is what lets the collector drain and stop;
-            // its join below can never deadlock. Expired jobs are dropped
-            // by the pool at dequeue, before the stage handler runs, so an
-            // abandoned query never occupies a slot in a batch.
-            let scorer: Arc<dyn WindowScorer> =
-                Arc::new(SiriusWindowScorer::new(Arc::clone(&sirius)));
-            let (handle, collector) = spawn_batch_collector(
-                scorer,
-                config.batch,
-                Arc::clone(&metrics.batch),
-                config.asr.workers.max(1),
-            );
-            workers.extend(spawn_stage_pool(
-                Arc::new(BatchedAsrStage::new(Arc::clone(&sirius), handle)),
-                config.asr.workers,
-                asr_rx,
-                Arc::clone(&metrics.asr),
-                Arc::clone(&recorder),
-                asr_route,
-                asr_expire,
-            ));
-            workers.push(collector);
         } else {
             workers.extend(spawn_stage_pool(
                 Arc::new(AsrStage(Arc::clone(&sirius))),
@@ -951,6 +848,9 @@ impl SiriusServer {
             }
             Err(TrySendError::Full(_)) => {
                 self.metrics.shed.inc();
+                if let Some(tenant) = &tenant {
+                    tenant.shed.inc();
+                }
                 Err(SiriusError::Overloaded { stage: "asr" })
             }
             Err(TrySendError::Disconnected(_)) => {

@@ -41,21 +41,19 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sirius::error::SiriusError;
-use sirius::pipeline::{Sirius, SiriusOutcome, SiriusResponse, StageTiming};
+use sirius::pipeline::{Sirius, SiriusResponse};
 use sirius::stage::{
     AsrRequest, AsrResponse, ClassifyRequest, ClassifyResponse, ImmRequest, ImmResponse, QaRequest,
     QaResponse,
 };
 use sirius_obs::{Recorder, SpanKind};
 use sirius_par::queue::{bounded, Receiver, Sender};
-use sirius_speech::asr::AcousticModelKind;
 use sirius_speech::features::SAMPLE_RATE;
 use sirius_vision::image::GrayImage;
 
-use crate::batch::BatchHandle;
 use crate::metrics::{ServerMetrics, StreamObs};
 use crate::pool::Job;
-use crate::runtime::{finish, Ctx, ServerConfig};
+use crate::runtime::{finish, Ctx, Exit, ServerConfig};
 
 /// Governs streaming ASR service: chunked ingestion pacing and speculative
 /// downstream dispatch.
@@ -294,7 +292,6 @@ fn serve_streaming(
     sirius: &Sirius,
     policy: StreamPolicy,
     stream_obs: &StreamObs,
-    remote: Option<&BatchHandle>,
     spec_tx: Option<&Sender<SpecJob>>,
     ctx: &Ctx,
     req: AsrRequest,
@@ -305,11 +302,7 @@ fn serve_streaming(
         return Served::Asr(sirius.stage_asr(req));
     }
 
-    let asr = sirius.asr();
-    let mut rec = match (req.acoustic, remote) {
-        (AcousticModelKind::Dnn, Some(handle)) => asr.streaming_with_window_scorer(handle),
-        _ => asr.streaming(req.acoustic),
-    };
+    let mut rec = sirius.asr().streaming(req.acoustic);
 
     let spec_cell = spec_tx.map(|_| SpecCell::new());
     let chunk_samples = policy.chunk_samples();
@@ -404,38 +397,22 @@ fn serve_streaming(
     Served::Asr(Ok(asr_resp))
 }
 
-/// Assembles the final response from a confirmed speculation, mirroring
-/// the classify-route (Action) and QA-route (Answer) assemblies in
-/// `runtime.rs` field for field.
-fn assemble(ctx: &Ctx, asr: AsrResponse, payload: SpecPayload) -> SiriusResponse {
+/// The response of a confirmed speculation: records the ASR result and the
+/// speculative downstream payload in `ctx` exactly as the staged routes in
+/// `runtime.rs` would, then builds the response the same way they do.
+fn assemble(ctx: &mut Ctx, asr: AsrResponse, payload: SpecPayload) -> SiriusResponse {
+    ctx.recognized = asr.recognized;
+    ctx.asr_timing = asr.timing;
+    ctx.classify = payload.classify.elapsed;
     if let Some(action) = payload.classify.action {
-        return SiriusResponse {
-            recognized: asr.recognized,
-            outcome: SiriusOutcome::Action(action),
-            matched_venue: None,
-            timing: StageTiming {
-                asr: asr.timing,
-                classify: payload.classify.elapsed,
-                qa: None,
-                imm: None,
-                total: ctx.started.elapsed(),
-            },
-        };
+        return ctx.respond(Exit::Action(action));
     }
     let imm = payload.imm.expect("question payload carries IMM");
-    let qa = payload.qa.expect("question payload carries QA");
-    SiriusResponse {
-        recognized: asr.recognized,
-        outcome: SiriusOutcome::Answer(qa.answer),
-        matched_venue: imm.matched_venue,
-        timing: StageTiming {
-            asr: asr.timing,
-            classify: payload.classify.elapsed,
-            qa: Some(qa.breakdown),
-            imm: imm.timing,
-            total: ctx.started.elapsed(),
-        },
-    }
+    ctx.imm_timing = imm.timing;
+    ctx.matched_venue = imm.matched_venue;
+    ctx.respond(Exit::Answer(
+        payload.qa.expect("question payload carries QA"),
+    ))
 }
 
 /// Spawns the streaming ASR stage: `config.asr.workers` serving threads
@@ -444,14 +421,12 @@ fn assemble(ctx: &Ctx, asr: AsrResponse, payload: SpecPayload) -> SiriusResponse
 /// in-flight/service accounting, `catch_unwind` survival — and routes
 /// each query either through `route` (into the classify queue) or, on a
 /// confirmed speculation, straight to ticket completion.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn spawn_streaming_stages<R, E>(
     sirius: Arc<Sirius>,
     config: &ServerConfig,
     rx: Receiver<Job<Ctx, AsrRequest>>,
     metrics: Arc<ServerMetrics>,
     recorder: Arc<dyn Recorder>,
-    remote: Option<BatchHandle>,
     route: R,
     on_expired: E,
 ) -> Vec<JoinHandle<()>>
@@ -480,7 +455,6 @@ where
         let stream_obs = Arc::clone(&metrics.stream);
         let metrics = Arc::clone(&metrics);
         let recorder = Arc::clone(&recorder);
-        let remote = remote.clone();
         let spec_tx = spec_tx.clone();
         let route = route.clone();
         let on_expired = on_expired.clone();
@@ -489,7 +463,7 @@ where
                 .name(format!("sirius-asr-{i}"))
                 .spawn(move || {
                     while let Some(Job {
-                        ctx,
+                        mut ctx,
                         req,
                         enqueued,
                         deadline,
@@ -512,7 +486,6 @@ where
                                 &sirius,
                                 policy,
                                 &stream_obs,
-                                remote.as_ref(),
                                 spec_tx.as_ref(),
                                 &ctx,
                                 req,
@@ -532,15 +505,8 @@ where
                         match served {
                             Served::Asr(result) => route(ctx, result),
                             Served::Complete { asr, payload } => {
-                                let response = assemble(&ctx, asr, payload);
-                                finish(
-                                    &metrics,
-                                    recorder.as_ref(),
-                                    ctx.started,
-                                    ctx.tenant.as_deref(),
-                                    &ctx.ticket,
-                                    Ok(response),
-                                );
+                                let response = assemble(&mut ctx, asr, payload);
+                                finish(&metrics, recorder.as_ref(), &ctx, Ok(response));
                             }
                         }
                     }

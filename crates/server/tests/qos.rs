@@ -8,6 +8,9 @@
 //!    typed `UnknownTenantClass` error, not a panic or a silent admit.
 //! 3. A cluster routes classed traffic to its replicas and the merged
 //!    per-replica tenant counters account for every query exactly once.
+//! 4. Every classed submit lands in exactly one per-class admission
+//!    counter, queue-full sheds included, so a class's offered load can be
+//!    read back from its own counters.
 
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -126,4 +129,63 @@ fn cluster_routes_classed_traffic_with_per_replica_accounting() {
     assert_eq!(accepted, 8);
     assert_eq!(completed, 8);
     cluster.shutdown();
+}
+
+#[test]
+fn classed_queue_full_sheds_are_counted_per_tenant() {
+    const CLASSES: [&str; 3] = ["premium", "standard", "best_effort"];
+    let sirius = shared_sirius();
+    let prepared = prepare_input_set(&sirius, 31337);
+    // One ASR worker behind a one-deep queue: a back-to-back burst finds
+    // the admission queue full for most submits.
+    let config = ServerConfig::with_workers(1)
+        .with_queue_depth(1)
+        .with_tenant_classes(vec![
+            TenantClass::new("premium", 0, Duration::from_secs(10), 4),
+            TenantClass::new("standard", 1, Duration::from_secs(10), 2),
+            TenantClass::new("best_effort", 2, Duration::from_secs(10), 1),
+        ]);
+    let server = SiriusServer::start(Arc::clone(&sirius), config);
+
+    let mut offered = [0u64; 3];
+    let mut tickets = Vec::new();
+    for (i, p) in prepared.iter().enumerate() {
+        let class = i % CLASSES.len();
+        offered[class] += 1;
+        match server.submit_classed(p.input(), CLASSES[class]) {
+            Ok(ticket) => tickets.push(ticket),
+            Err(SiriusError::Overloaded { .. } | SiriusError::DeadlineUnmeetable { .. }) => {}
+            Err(other) => panic!("unexpected admission error {other:?}"),
+        }
+    }
+    for ticket in tickets {
+        ticket.wait().expect("admitted query served");
+    }
+
+    let snap = server.metrics_snapshot();
+    let count = |name: &str| {
+        snap.counter(name)
+            .unwrap_or_else(|| panic!("{name} missing"))
+    };
+    let mut tenant_shed = 0;
+    for (class, offered) in CLASSES.iter().zip(offered) {
+        let accepted = count(&format!("tenant.{class}.accepted"));
+        let shed_deadline = count(&format!("tenant.{class}.shed_deadline"));
+        let shed = count(&format!("tenant.{class}.shed"));
+        assert_eq!(
+            offered,
+            accepted + shed_deadline + shed,
+            "{class}: offered {offered}, accepted {accepted}, \
+             shed_deadline {shed_deadline}, shed {shed}"
+        );
+        assert_eq!(count(&format!("tenant.{class}.completed")), accepted);
+        tenant_shed += shed;
+    }
+    let shed = count("admission.shed");
+    assert!(shed > 0, "the depth-1 burst never found the queue full");
+    assert_eq!(
+        tenant_shed, shed,
+        "per-tenant sheds must sum to admission.shed"
+    );
+    server.shutdown();
 }

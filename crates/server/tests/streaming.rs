@@ -1,8 +1,8 @@
 //! Equivalence and telemetry gates for the streaming ASR serving path.
 //!
 //! 1. **Bit-identity**: the streaming server's answers — with and without
-//!    speculative downstream pipelining, for both acoustic models, with
-//!    and without cross-query batching — must match the serial pipeline's
+//!    speculative downstream pipelining, for both acoustic models — must
+//!    match the serial pipeline's
 //!    query for query. The streaming recognizer's final hypothesis equals
 //!    batch recognition by construction, and speculative payloads are only
 //!    reused when they ran on exactly the final hypothesis, so no
@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use sirius::pipeline::{Sirius, SiriusConfig, SiriusInput, SiriusResponse};
 use sirius::prepare_input_set;
-use sirius_server::{BatchPolicy, ServerConfig, SiriusServer, StreamPolicy, Ticket};
+use sirius_server::{ServerConfig, SiriusServer, StreamPolicy, Ticket};
 use sirius_speech::asr::AcousticModelKind;
 
 static SIRIUS: OnceLock<Arc<Sirius>> = OnceLock::new();
@@ -40,24 +40,19 @@ fn payload(r: &SiriusResponse) -> (String, String, Option<String>) {
 
 /// The streaming server must answer the full 42-query input set with
 /// exactly the serial pipeline's bits: GMM with speculation on and off,
-/// and DNN with the batch collector underneath the streaming recognizer.
+/// and DNN with speculation on.
 #[test]
 fn streaming_serving_is_bit_identical_to_serial() {
     let sirius = shared_sirius();
     let prepared = prepare_input_set(&sirius, 4242);
 
-    let cases: [(AcousticModelKind, bool, BatchPolicy, usize); 4] = [
-        (AcousticModelKind::Gmm, false, BatchPolicy::default(), 1600),
-        (AcousticModelKind::Gmm, true, BatchPolicy::default(), 1600),
-        (AcousticModelKind::Gmm, true, BatchPolicy::default(), 320),
-        (
-            AcousticModelKind::Dnn,
-            true,
-            BatchPolicy::new(4, Duration::from_millis(1)),
-            1600,
-        ),
+    let cases: [(AcousticModelKind, bool, usize); 4] = [
+        (AcousticModelKind::Gmm, false, 1600),
+        (AcousticModelKind::Gmm, true, 1600),
+        (AcousticModelKind::Gmm, true, 320),
+        (AcousticModelKind::Dnn, true, 1600),
     ];
-    for (kind, speculate, batch, chunk_samples) in cases {
+    for (kind, speculate, chunk_samples) in cases {
         let serial: Vec<_> = prepared
             .iter()
             .map(|p| payload(&sirius.process_with(&p.input(), kind)))
@@ -70,7 +65,6 @@ fn streaming_serving_is_bit_identical_to_serial() {
         }
         let mut config = ServerConfig::with_workers(4)
             .with_queue_depth(prepared.len().max(16))
-            .with_batch_policy(batch)
             .with_stream_policy(stream);
         config.acoustic = kind;
         let server = SiriusServer::start(Arc::clone(&sirius), config);

@@ -16,7 +16,7 @@ use rand_chacha::ChaCha8Rng;
 use crate::dnn::{Dnn, DnnTrainConfig};
 use crate::features::{Frontend, FEATURE_DIM, FRAME_HOP, FRAME_LEN};
 use crate::gmm::Gmm;
-use crate::hmm::{AcousticScorer, Decoder, DecoderConfig, DnnScorer, GmmScorer, WindowScorer};
+use crate::hmm::{AcousticScorer, Decoder, DecoderConfig, DnnScorer, GmmScorer};
 use crate::lexicon::{Lexicon, NUM_STATES, STATES_PER_PHONE};
 use crate::lm::BigramLm;
 use crate::synth::{SynthConfig, Synthesizer, Utterance};
@@ -390,69 +390,6 @@ impl AsrSystem {
     /// to [`AsrSystem::recognize`] over the concatenated samples.
     pub fn streaming(&self, kind: AcousticModelKind) -> crate::streaming::StreamingRecognizer<'_> {
         crate::streaming::StreamingRecognizer::new(self, kind)
-    }
-
-    /// Starts a streaming DNN recognition session whose block GEMMs are
-    /// delegated to `remote` (the serving layer's cross-query batch
-    /// collector), bit-identical to
-    /// [`AsrSystem::recognize_with_window_scorer`].
-    pub fn streaming_with_window_scorer<'a>(
-        &'a self,
-        remote: &'a dyn WindowScorer,
-    ) -> crate::streaming::StreamingRecognizer<'a> {
-        crate::streaming::StreamingRecognizer::with_remote(self, remote)
-    }
-
-    /// Recognizes audio with the DNN acoustic model, delegating the block
-    /// GEMMs to `remote` — the hook a serving layer uses to coalesce frame
-    /// blocks from several in-flight queries into one forward pass.
-    ///
-    /// For any correct [`WindowScorer`] this is bit-identical to
-    /// `recognize(samples, AcousticModelKind::Dnn)`: the decoder visits the
-    /// same frames in the same order, the blocks partition the utterance
-    /// identically, and scoring is row-independent (see [`WindowScorer`]).
-    /// The reported `scoring` time is the remote scoring *latency* (it
-    /// includes any batch-formation wait), so `search` stays the decode
-    /// time net of scoring, as in the local path.
-    pub fn recognize_with_window_scorer(
-        &self,
-        samples: &[f32],
-        remote: &dyn WindowScorer,
-    ) -> AsrOutput {
-        let t_total = Instant::now();
-        let t = Instant::now();
-        let frames = self.frontend.extract(samples);
-        let feature_extraction = t.elapsed();
-
-        let t = Instant::now();
-        let mut scores = self.dnn.batched_scores(&frames, remote);
-        let decoded = self
-            .decoder
-            .decode_lazy(&mut scores, &self.lm, &self.lexicon);
-        let scoring = scores.compute_time();
-        let search = t.elapsed().saturating_sub(scoring);
-
-        let num_frames = frames.len();
-        let (text, tokens_expanded, confidence) = match decoded {
-            Some(r) => (
-                r.words.join(" "),
-                r.tokens_expanded,
-                r.confidence(num_frames),
-            ),
-            None => (String::new(), 0, 0.0),
-        };
-        AsrOutput {
-            text,
-            timing: AsrTiming {
-                feature_extraction,
-                scoring,
-                search,
-                total: t_total.elapsed(),
-            },
-            frames: num_frames,
-            tokens_expanded,
-            confidence,
-        }
     }
 }
 

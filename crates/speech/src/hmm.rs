@@ -307,117 +307,6 @@ impl FrameScores for LazyDnnScores<'_> {
     }
 }
 
-/// Block-batched DNN emission scores whose GEMMs run on a remote
-/// [`WindowScorer`] instead of the local network.
-///
-/// Structurally a twin of [`LazyDnnScores`]: the decoder visits frames in
-/// order, so blocks are the same deterministic `[0, 16), [16, 32), ...`
-/// partition, and the context windows are built with the same
-/// [`DnnScorer::context_window_into`]. Only the forward pass is delegated —
-/// which is what lets a serving layer coalesce blocks from several
-/// in-flight queries into one GEMM while every query's scores stay
-/// bit-identical (row independence, see [`WindowScorer`]).
-///
-/// [`BatchedDnnScores::compute_time`] includes any time the remote scorer
-/// spends waiting for batch-mates; it is the query's *scoring latency*, not
-/// pure model FLOP time.
-pub struct BatchedDnnScores<'a> {
-    scorer: &'a DnnScorer,
-    remote: &'a dyn WindowScorer,
-    frames: &'a [Vec<f32>],
-    block: Vec<f32>,
-    block_start: usize,
-    block_len: usize,
-    t: usize,
-    /// Staging buffer for the stacked context windows of one block.
-    x: Vec<f32>,
-    stats: LazyScoreStats,
-    compute_time: Duration,
-}
-
-impl<'a> BatchedDnnScores<'a> {
-    fn new(scorer: &'a DnnScorer, frames: &'a [Vec<f32>], remote: &'a dyn WindowScorer) -> Self {
-        Self {
-            scorer,
-            remote,
-            frames,
-            block: Vec::new(),
-            block_start: 0,
-            block_len: 0,
-            t: 0,
-            x: Vec::new(),
-            stats: LazyScoreStats {
-                total_cells: frames.len() * NUM_STATES,
-                ..LazyScoreStats::default()
-            },
-            compute_time: Duration::ZERO,
-        }
-    }
-
-    /// Evaluation counters for this utterance.
-    pub fn stats(&self) -> LazyScoreStats {
-        self.stats
-    }
-
-    /// Wall time spent obtaining scores from the remote scorer (includes
-    /// batch-formation wait, so under load this is scoring *latency*).
-    pub fn compute_time(&self) -> Duration {
-        self.compute_time
-    }
-}
-
-impl std::fmt::Debug for BatchedDnnScores<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BatchedDnnScores")
-            .field("frames", &self.frames.len())
-            .field("block_start", &self.block_start)
-            .field("block_len", &self.block_len)
-            .field("stats", &self.stats)
-            .finish_non_exhaustive()
-    }
-}
-
-impl FrameScores for BatchedDnnScores<'_> {
-    const WANTS_ACTIVE_SET: bool = false;
-
-    fn num_frames(&self) -> usize {
-        self.frames.len()
-    }
-
-    fn begin_frame(&mut self, t: usize) {
-        self.t = t;
-        let in_block = self.block_len > 0
-            && (self.block_start..self.block_start + self.block_len).contains(&t);
-        if !in_block {
-            let start = Instant::now();
-            let len = (self.frames.len() - t).min(DNN_BLOCK);
-            let dim = self.frames[0].len();
-            let width = dim * (2 * self.scorer.context + 1);
-            self.x.clear();
-            self.x.resize(len * width, 0.0);
-            for r in 0..len {
-                DnnScorer::context_window_into(
-                    self.frames,
-                    t + r,
-                    self.scorer.context,
-                    &mut self.x[r * width..(r + 1) * width],
-                );
-            }
-            self.block = self.remote.score_windows(&self.x, len);
-            debug_assert_eq!(self.block.len(), len * NUM_STATES, "remote row width");
-            self.block_start = t;
-            self.block_len = len;
-            self.stats.computed += len * NUM_STATES;
-            self.compute_time += start.elapsed();
-        }
-    }
-
-    fn get(&mut self, s: usize) -> f32 {
-        self.stats.requested += 1;
-        self.block[(self.t - self.block_start) * NUM_STATES + s]
-    }
-}
-
 /// GMM emission scorer: one diagonal GMM per tied state (the Sphinx path).
 #[derive(Debug, Clone)]
 pub struct GmmScorer {
@@ -633,32 +522,9 @@ impl DnnScorer {
                 &mut x[r * width..(r + 1) * width],
             );
         }
-        self.score_windows_into(x, len, scratch, post, out);
-    }
-
-    /// Scores `rows` stacked context windows (row-major `rows x width`) into
-    /// `out` (row-major `rows x NUM_STATES`): one GEMM per layer over the
-    /// whole batch, then the per-row emission conversion
-    /// `scale * (ln(max(p, 1e-12)) - log_prior)`.
-    ///
-    /// Both the forward pass ([`Dnn::forward_batch_into`]) and the emission
-    /// conversion operate strictly row-by-row, so each output row is
-    /// bit-identical no matter how many — or whose — windows share the
-    /// batch. That row independence is the entire correctness argument for
-    /// cross-query batching: a collector may concatenate windows from
-    /// several in-flight queries, call this once, and scatter the rows back
-    /// without perturbing any query's scores.
-    fn score_windows_into(
-        &self,
-        x: &[f32],
-        rows: usize,
-        scratch: &mut DnnScratch,
-        post: &mut Vec<f32>,
-        out: &mut [f32],
-    ) {
         self.dnn
-            .forward_batch_into(x, rows, &self.plan, scratch, post);
-        for r in 0..rows {
+            .forward_batch_into(x, len, &self.plan, scratch, post);
+        for r in 0..len {
             let probs = &post[r * NUM_STATES..(r + 1) * NUM_STATES];
             let row = &mut out[r * NUM_STATES..(r + 1) * NUM_STATES];
             for ((slot, p), pr) in row.iter_mut().zip(probs).zip(&self.log_priors) {
@@ -671,45 +537,6 @@ impl DnnScorer {
     /// [`Decoder::decode_lazy`].
     pub fn lazy_scores<'a>(&'a self, frames: &'a [Vec<f32>]) -> LazyDnnScores<'a> {
         LazyDnnScores::new(self, frames)
-    }
-
-    /// A [`FrameScores`] provider like [`DnnScorer::lazy_scores`] whose
-    /// block GEMMs are delegated to `remote` — typically a serving-layer
-    /// batch collector that coalesces blocks from several in-flight
-    /// queries into one forward pass. Bit-identical to the local path for
-    /// any correct [`WindowScorer`] (see [`DnnScorer::score_windows`]).
-    pub fn batched_scores<'a>(
-        &'a self,
-        frames: &'a [Vec<f32>],
-        remote: &'a dyn WindowScorer,
-    ) -> BatchedDnnScores<'a> {
-        BatchedDnnScores::new(self, frames, remote)
-    }
-}
-
-/// Scores a batch of stacked DNN context windows into emission rows.
-///
-/// This is the seam a serving layer batches across queries at: the decoder
-/// side ([`BatchedDnnScores`]) builds windows exactly as the local path
-/// does, and any implementation must return, for each row, bits identical
-/// to [`DnnScorer::score_windows`] on that row alone. The reference
-/// implementation is `DnnScorer` itself; a batch collector satisfies the
-/// contract for free because [`Dnn::forward_batch_into`] and the emission
-/// conversion are strictly row-independent.
-pub trait WindowScorer: Send + Sync {
-    /// Scores `rows` stacked context windows (row-major `rows x width`,
-    /// where `width = feature_dim * (2 * context + 1)`) and returns the
-    /// emission rows (row-major `rows x NUM_STATES`).
-    fn score_windows(&self, x: &[f32], rows: usize) -> Vec<f32>;
-}
-
-impl WindowScorer for DnnScorer {
-    fn score_windows(&self, x: &[f32], rows: usize) -> Vec<f32> {
-        let mut scratch = DnnScratch::default();
-        let mut post = Vec::new();
-        let mut out = vec![0.0f32; rows * NUM_STATES];
-        self.score_windows_into(x, rows, &mut scratch, &mut post, &mut out);
-        out
     }
 }
 

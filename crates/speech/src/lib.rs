@@ -45,6 +45,6 @@ pub mod synth;
 pub mod vad;
 
 pub use asr::{AcousticModelKind, AsrOutput, AsrSystem, AsrTrainConfig, ScoringMode};
-pub use hmm::{StreamingDecoder, WindowScorer};
+pub use hmm::StreamingDecoder;
 pub use streaming::{StreamProgress, StreamingError, StreamingRecognizer};
 pub use synth::{SynthConfig, Synthesizer, Utterance};

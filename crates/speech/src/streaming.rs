@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use crate::asr::{AcousticModelKind, AsrOutput, AsrSystem, AsrTiming};
 use crate::features::{delta_row, FrontendScratch, FRAME_HOP, FRAME_LEN};
-use crate::hmm::{StreamingDecoder, WindowScorer};
+use crate::hmm::StreamingDecoder;
 
 /// Typed failures of streaming audio ingestion.
 ///
@@ -71,25 +71,14 @@ pub struct StreamProgress {
     pub frames_decoded: usize,
 }
 
-/// Which scorer backs the streaming decode.
-#[derive(Clone, Copy)]
-enum StreamScorer<'a> {
-    Gmm,
-    Dnn,
-    /// DNN with the block GEMMs delegated to a remote [`WindowScorer`]
-    /// (the server's cross-query batch collector).
-    Remote(&'a dyn WindowScorer),
-}
-
 /// Incremental recognizer over audio chunks; see the module docs.
 ///
-/// Create with [`AsrSystem::streaming`] or
-/// [`AsrSystem::streaming_with_window_scorer`], feed chunks with
+/// Create with [`AsrSystem::streaming`], feed chunks with
 /// [`StreamingRecognizer::push_chunk`], then call
 /// [`StreamingRecognizer::finish`].
 pub struct StreamingRecognizer<'a> {
     asr: &'a AsrSystem,
-    scorer: StreamScorer<'a>,
+    acoustic: AcousticModelKind,
     sdec: StreamingDecoder<'a>,
     samples: Vec<f32>,
     cepstra: Vec<Vec<f32>>,
@@ -115,22 +104,10 @@ impl std::fmt::Debug for StreamingRecognizer<'_> {
 }
 
 impl<'a> StreamingRecognizer<'a> {
-    pub(crate) fn new(asr: &'a AsrSystem, kind: AcousticModelKind) -> Self {
-        let scorer = match kind {
-            AcousticModelKind::Gmm => StreamScorer::Gmm,
-            AcousticModelKind::Dnn => StreamScorer::Dnn,
-        };
-        Self::with_scorer(asr, scorer)
-    }
-
-    pub(crate) fn with_remote(asr: &'a AsrSystem, remote: &'a dyn WindowScorer) -> Self {
-        Self::with_scorer(asr, StreamScorer::Remote(remote))
-    }
-
-    fn with_scorer(asr: &'a AsrSystem, scorer: StreamScorer<'a>) -> Self {
+    pub(crate) fn new(asr: &'a AsrSystem, acoustic: AcousticModelKind) -> Self {
         StreamingRecognizer {
             asr,
-            scorer,
+            acoustic,
             sdec: StreamingDecoder::new(asr.decoder(), asr.lm()),
             samples: Vec::new(),
             cepstra: Vec::new(),
@@ -191,9 +168,9 @@ impl<'a> StreamingRecognizer<'a> {
         // would clamp at the current feature edge (batch clamps at the
         // true utterance edge). GMM scores one row at a time, so every
         // extracted row is already final.
-        let horizon = match self.scorer {
-            StreamScorer::Gmm => self.feats.len(),
-            StreamScorer::Dnn | StreamScorer::Remote(_) => self
+        let horizon = match self.acoustic {
+            AcousticModelKind::Gmm => self.feats.len(),
+            AcousticModelKind::Dnn => self
                 .feats
                 .len()
                 .saturating_sub(self.asr.dnn_scorer().context()),
@@ -276,25 +253,20 @@ impl<'a> StreamingRecognizer<'a> {
     /// current feature prefix. Providers index frames exactly as a batch
     /// pass would, and rows beyond the horizon are never read, so every
     /// score the decoder sees equals the batch score (DNN blocks are
-    /// row-independent; see `WindowScorer`).
+    /// row-independent; see `Dnn::forward_batch_into`).
     fn advance_to(&mut self, horizon: usize) {
         if horizon <= self.sdec.frames_consumed() {
             return;
         }
         let t = Instant::now();
-        let scoring_before = match self.scorer {
-            StreamScorer::Gmm => {
+        let scoring_before = match self.acoustic {
+            AcousticModelKind::Gmm => {
                 let mut scores = self.asr.gmm_scorer().lazy_scores(&self.feats);
                 self.sdec.advance(&mut scores, horizon);
                 scores.compute_time()
             }
-            StreamScorer::Dnn => {
+            AcousticModelKind::Dnn => {
                 let mut scores = self.asr.dnn_scorer().lazy_scores(&self.feats);
-                self.sdec.advance(&mut scores, horizon);
-                scores.compute_time()
-            }
-            StreamScorer::Remote(remote) => {
-                let mut scores = self.asr.dnn_scorer().batched_scores(&self.feats, remote);
                 self.sdec.advance(&mut scores, horizon);
                 scores.compute_time()
             }

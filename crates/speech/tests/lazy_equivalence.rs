@@ -103,63 +103,6 @@ fn recognize_modes_agree() {
     }
 }
 
-/// The remote-scorer decode path (the seam the serving layer batches
-/// across queries at) must be bit-identical to the local DNN decode — same
-/// text, same confidence bits, same search effort — when the "remote" is
-/// the scorer itself, and must actually route every block through it.
-#[test]
-fn window_scorer_decode_is_bit_identical_to_local_dnn() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    use sirius_speech::WindowScorer;
-
-    /// Delegating scorer that counts blocks and rows, standing in for a
-    /// serving-layer batch collector.
-    struct Counting<'a> {
-        inner: &'a dyn WindowScorer,
-        blocks: AtomicUsize,
-        rows: AtomicUsize,
-    }
-
-    impl WindowScorer for Counting<'_> {
-        fn score_windows(&self, x: &[f32], rows: usize) -> Vec<f32> {
-            self.blocks.fetch_add(1, Ordering::Relaxed);
-            self.rows.fetch_add(rows, Ordering::Relaxed);
-            self.inner.score_windows(x, rows)
-        }
-    }
-
-    let asr = system();
-    let mut synth = Synthesizer::new(444, SynthConfig::default());
-    for text in CORPUS {
-        let utt = synth.say(text);
-        let local = asr.recognize(&utt.samples, AcousticModelKind::Dnn);
-
-        // The scorer is its own reference WindowScorer implementation.
-        let direct = asr.recognize_with_window_scorer(&utt.samples, asr.dnn_scorer());
-        assert_eq!(direct.text, local.text, "{text}");
-        assert_eq!(direct.confidence.to_bits(), local.confidence.to_bits());
-        assert_eq!(direct.tokens_expanded, local.tokens_expanded);
-        assert_eq!(direct.frames, local.frames);
-
-        // A wrapping scorer sees every block: rows must cover the decode's
-        // visited frames (blocks of <= 16, so blocks * 16 >= rows > 0).
-        let counting = Counting {
-            inner: asr.dnn_scorer(),
-            blocks: AtomicUsize::new(0),
-            rows: AtomicUsize::new(0),
-        };
-        let via = asr.recognize_with_window_scorer(&utt.samples, &counting);
-        assert_eq!(via.text, local.text, "{text}");
-        assert_eq!(via.confidence.to_bits(), local.confidence.to_bits());
-        let blocks = counting.blocks.load(Ordering::Relaxed);
-        let rows = counting.rows.load(Ordering::Relaxed);
-        assert!(blocks > 0, "no block was delegated");
-        assert!(rows > 0 && rows <= local.frames);
-        assert!(blocks * 16 >= rows, "blocks {blocks} rows {rows}");
-    }
-}
-
 /// Property: the memoizing cache never computes a `(frame, state)` pair
 /// twice — `computed <= total_cells` and every repeated read hits the memo.
 /// Seeded across several utterances and beam widths.

@@ -140,30 +140,6 @@ fn streaming_recognizer_matches_batch_recognition() {
     }
 }
 
-/// The remote-scorer streaming path (the seam the serving layer batches
-/// across queries at) must be bit-identical to both the local streaming
-/// DNN decode and batch `recognize_with_window_scorer`.
-#[test]
-fn streaming_with_window_scorer_matches_batch() {
-    let asr = system();
-    let mut synth = Synthesizer::new(444, SynthConfig::default());
-    for text in CORPUS {
-        let utt = synth.say(text);
-        let local = asr.recognize(&utt.samples, AcousticModelKind::Dnn);
-        let batch_remote = asr.recognize_with_window_scorer(&utt.samples, asr.dnn_scorer());
-        let mut rec = asr.streaming_with_window_scorer(asr.dnn_scorer());
-        for c in utt.samples.chunks(800) {
-            rec.push_chunk(c).expect("clean audio");
-        }
-        let out = rec.finish().expect("non-empty utterance");
-        assert_eq!(out.text, local.text, "{text}");
-        assert_eq!(out.text, batch_remote.text);
-        assert_eq!(out.confidence.to_bits(), local.confidence.to_bits());
-        assert_eq!(out.tokens_expanded, local.tokens_expanded);
-        assert_eq!(out.frames, local.frames);
-    }
-}
-
 /// Property: across 100 seeded utterances the committed prefix is never
 /// retracted at any chunk boundary and always ends as a prefix of the
 /// final hypothesis.

@@ -2,8 +2,7 @@
 # Regenerates BENCH_server.json: the staged-runtime load sweep (open-loop
 # latency-vs-load against the M/M/1 prediction, the shed-on-full vs
 # deadline-aware admission-policy head-to-head with its M/M/1/K shed-rate
-# cross-check, the cross-query ASR batching policy sweep with its Pareto
-# frontier, the streaming-ASR sweep over chunk size x offered load, the
+# cross-check, the streaming-ASR sweep over chunk size x offered load, the
 # sharded-cluster sweep over replica count x routing policy, the
 # multi-tenant weighted-admission sweep over offered load, the loopback TCP
 # front-end sweep over closed-loop client counts, plus closed-loop
@@ -38,19 +37,14 @@ path = sys.argv[1]
 assert os.path.getsize(path) > 0, f"{path} is empty"
 with open(path) as f:
     bench = json.load(f)
-sweeps = ["saturation", "policy_sweep", "batch_sweep", "streaming_sweep",
-          "cluster_sweep", "tenant_sweep", "net_sweep"]
+sweeps = ["saturation", "policy_sweep", "streaming_sweep", "cluster_sweep",
+          "tenant_sweep", "net_sweep"]
 missing = [key for key in sweeps if key not in bench]
 assert not missing, f"missing sweeps: {missing}"
 assert bench["saturation"]["outputs_match_serial"] is True, "saturation outputs diverged from serial"
 sweep = bench["policy_sweep"]
 assert sweep["outputs_match_serial"] is True, "policy-sweep outputs diverged from serial"
 assert sweep["accounting_balanced"] is True, "admission ledger did not balance"
-batch = bench["batch_sweep"]
-assert batch["outputs_match_serial"] is True, "batched outputs diverged from serial DNN"
-assert batch["accounting_balanced"] is True, "batch-sweep accounting did not balance"
-assert any(p["max_batch"] > 1 and p["batch_size_max"] > 1 for p in batch["points"]), \
-    "no cross-query batch ever formed"
 stream = bench["streaming_sweep"]
 assert stream["outputs_match_serial"] is True, "streaming outputs diverged from serial"
 assert stream["from_end_p50_below_serial_floor_at_low_rho"] is True, \

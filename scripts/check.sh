@@ -20,8 +20,8 @@ echo "==> cargo build --release -p sirius-bench --bin bench_server --bin bench_o
 cargo build --release -p sirius-bench --bin bench_server --bin bench_obs
 
 echo "==> cargo test --workspace --release -q (every crate's unit and integration tests)"
-# Includes the bit-identity gates (staged, batched, streaming, cluster and
-# remote, each against serial), admission, tenant QoS, observability,
+# Includes the bit-identity gates (staged, streaming, cluster and remote,
+# each against serial), admission, tenant QoS, observability,
 # wire-codec and network front-end suites.
 cargo test --workspace --release -q
 
